@@ -40,7 +40,6 @@ from .errors import (
     ShapeError,
 )
 from .lsmc import (
-    BasisSpec,
     InflationEstimator,
     LoessModel,
     expected_inflation,
@@ -69,7 +68,6 @@ from .metrics import (
     var,
 )
 from .scenario import (
-    EconomicState,
     ModelParams,
     MomentReport,
     ScenarioSet,

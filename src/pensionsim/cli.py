@@ -4,7 +4,11 @@ Subcommands: ``simulate`` (scenario CSV + moment report), ``evaluate``
 (single-strategy report), ``solve-dp`` (policy export + utility trace),
 ``frontier`` (family/parameter sweep) and ``report`` (multi-strategy
 comparison).  Configuration is a flat ``key = value`` text file with ``#``
-comments; every key has a default (see ``--print-defaults``).  All runs are
+comments; every key has a default (see ``--print-defaults``).  The
+``model.*`` and ``dp.*`` keys (``dp.mode`` aside) are the fields of
+:class:`~pensionsim.scenario.ModelParams` and
+:class:`~pensionsim.dp.DpConfig`, derived from the dataclasses with their
+defaults, so a field added there becomes a key here.  All runs are
 deterministic: the same config and seed produce byte-identical files.
 ``--threads`` (config key ``threads``, 0 = all cores) sets the worker threads
 for scenario noise generation and for the per-contribution tranche solves of
@@ -16,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +49,22 @@ __all__ = ["DEFAULTS", "RunConfig", "main", "parse_config", "run"]
 
 SUBCOMMANDS = ("simulate", "evaluate", "solve-dp", "frontier", "report")
 
+
+def _dataclass_keys(prefix: str, cls) -> dict:
+    """``prefix.<field>`` entries for every field of a config dataclass.
+
+    Scalar fields keep their default and its type; a tuple field (the DP
+    allocation grid) is read as comma-separated text.
+    """
+    keys = {}
+    for f in fields(cls):
+        if isinstance(f.default, tuple):
+            keys[f"{prefix}.{f.name}"] = (",".join(str(v) for v in f.default), str)
+        else:
+            keys[f"{prefix}.{f.name}"] = (f.default, type(f.default))
+    return keys
+
+
 # key -> (default, type); strings keep their raw text
 DEFAULTS: dict = {
     "seed": (42, int),
@@ -52,27 +72,7 @@ DEFAULTS: dict = {
     "n_paths": (2000, int),
     "horizon": (41, int),
     "scenario.file": ("", str),
-    "model.mean_x": (0.061, float),
-    "model.mean_pi": (0.016, float),
-    "model.mean_level": (0.025, float),
-    "model.mean_slope": (0.005, float),
-    "model.std_x": (0.183, float),
-    "model.std_pi": (0.015, float),
-    "model.std_level": (0.024, float),
-    "model.std_slope": (0.004, float),
-    "model.ar_x": (0.0, float),
-    "model.ar_pi": (0.93, float),
-    "model.ar_level": (0.969, float),
-    "model.ar_slope": (0.95, float),
-    "model.corr_x_pi": (0.11, float),
-    "model.corr_x_level": (0.10, float),
-    "model.corr_x_slope": (0.0, float),
-    "model.corr_pi_level": (0.80, float),
-    "model.corr_pi_slope": (0.0, float),
-    "model.corr_level_slope": (-0.30, float),
-    "model.wage_spread": (0.005, float),
-    "model.max_maturity": (30, int),
-    "model.slope_reference": (10.0, float),
+    **_dataclass_keys("model", ModelParams),
     "annuity.T": (41, int),
     "annuity.N": (20, int),
     "career.file": ("", str),
@@ -85,13 +85,7 @@ DEFAULTS: dict = {
     "strategy.r": (0.02, float),
     "strategy.delta": (0.025, float),
     "strategy.target_rr": (0.70, float),
-    "dp.grid": ("0.0,0.2,0.4,0.6,0.8,1.0", str),
-    "dp.z_min": (1.0, float),
-    "dp.z_max": (3.0, float),
-    "dp.iterations": (2, int),
-    "dp.loess_d": (0.2, float),
-    "dp.loess_degree": (1, int),
-    "dp.curve_points": (101, int),
+    **_dataclass_keys("dp", DpConfig),
     "dp.mode": ("per-contribution", str),
     "report.strategies": (
         "static_0,static_100,static_opt,cumulative,individual,combination",
@@ -225,29 +219,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def _model_params(cfg: RunConfig) -> ModelParams:
     v = cfg.values
-    return ModelParams(
-        mean_x=v["model.mean_x"],
-        mean_pi=v["model.mean_pi"],
-        mean_level=v["model.mean_level"],
-        mean_slope=v["model.mean_slope"],
-        std_x=v["model.std_x"],
-        std_pi=v["model.std_pi"],
-        std_level=v["model.std_level"],
-        std_slope=v["model.std_slope"],
-        ar_x=v["model.ar_x"],
-        ar_pi=v["model.ar_pi"],
-        ar_level=v["model.ar_level"],
-        ar_slope=v["model.ar_slope"],
-        corr_x_pi=v["model.corr_x_pi"],
-        corr_x_level=v["model.corr_x_level"],
-        corr_x_slope=v["model.corr_x_slope"],
-        corr_pi_level=v["model.corr_pi_level"],
-        corr_pi_slope=v["model.corr_pi_slope"],
-        corr_level_slope=v["model.corr_level_slope"],
-        wage_spread=v["model.wage_spread"],
-        max_maturity=v["model.max_maturity"],
-        slope_reference=v["model.slope_reference"],
-    )
+    return ModelParams(**{f.name: v[f"model.{f.name}"] for f in fields(ModelParams)})
 
 
 def _dp_config(cfg: RunConfig) -> DpConfig:
@@ -256,15 +228,8 @@ def _dp_config(cfg: RunConfig) -> DpConfig:
         grid = tuple(float(tok) for tok in v["dp.grid"].split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"dp.grid expects comma-separated numbers, got {v['dp.grid']!r}") from None
-    return DpConfig(
-        grid=grid,
-        z_min=v["dp.z_min"],
-        z_max=v["dp.z_max"],
-        iterations=v["dp.iterations"],
-        loess_d=v["dp.loess_d"],
-        loess_degree=v["dp.loess_degree"],
-        curve_points=v["dp.curve_points"],
-    )
+    scalars = {f.name: v[f"dp.{f.name}"] for f in fields(DpConfig) if f.name != "grid"}
+    return DpConfig(grid=grid, **scalars)
 
 
 def _build_scenarios(cfg: RunConfig, seed: int, threads: int):

@@ -7,13 +7,19 @@ walks a snake-like pattern through the decision times: solve the last
 sub-problem, then repeatedly update future sub-problems backward, solve the
 earliest untouched time, and update forward again.  Expected terminal
 utility conditional on the current state is estimated cross-sectionally
-with local (LOESS) regression of realized terminal utilities on Z.
+with local (LOESS) regression of realized terminal utilities on Z, sampled
+on ``curve_points`` evenly spaced nodes.  The regression is the design/apply
+LOESS of :mod:`pensionsim.lsmc`, the code behind
+:class:`~pensionsim.lsmc.LoessModel`; a design is reused across refreshes
+while the ratios it was built on are unchanged.
 
 Terminal utility rewards ending between the configured ratio bounds:
 
     U(z) = [-(z - beta)^2 - (z - z_min)^2] / z,  beta = sqrt(2 z_max^2 - z_min^2)
 
-whose maximum sits exactly at z_max.
+whose maximum sits exactly at z_max.  :func:`utility_check` computes it,
+:func:`z_step` moves a ratio one year, and ``_policy_lookup`` reads a step
+policy; the solver and the shared-mode strategy call these, with no copies.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .engine import SimulationInputs
 from .errors import DomainError, ParameterError
-from .lsmc import ceil_int
+from .lsmc import _loess_apply, _loess_geometry
 from .strategies import StrategyOutcome, TargetFrame, TargetParams
 
 __all__ = [
@@ -112,152 +118,6 @@ def z_step(z, alpha, x, m, expectation_ratio):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class _LoessDesign:
-    """Design-side factors of a curve fit: everything that depends only on zs.
-
-    Splitting these from the response-side sums lets a solver re-fit the same
-    design points against fresh responses without redoing the sort, window
-    search, tri-cube weights and normal-equation coefficients.
-    """
-
-    nodes: np.ndarray
-    mean_only: bool = False
-    oidx: np.ndarray | None = None
-    w: np.ndarray | None = None
-    wx: np.ndarray | None = None
-    wx2: np.ndarray | None = None
-    nearest: np.ndarray | None = None
-    s0: np.ndarray | None = None
-    s1: np.ndarray | None = None
-    s2: np.ndarray | None = None
-    s3: np.ndarray | None = None
-    s4: np.ndarray | None = None
-    base: np.ndarray | None = None
-    ok1: np.ndarray | None = None
-    ok2: np.ndarray | None = None
-    det1: np.ndarray | None = None
-    det2: np.ndarray | None = None
-    c22: np.ndarray | None = None
-    c12: np.ndarray | None = None
-    c11: np.ndarray | None = None
-    none_mask: np.ndarray | None = None
-
-
-def _loess_geometry(zs: np.ndarray, cfg: DpConfig) -> _LoessDesign:
-    """Sort, windows, tri-cube weights and moment sums for a LOESS design."""
-    n = zs.shape[0]
-    z_lo, z_hi = float(zs.min()), float(zs.max())
-    if n < 2 or z_lo == z_hi:
-        return _LoessDesign(nodes=np.array([z_lo]), mean_only=True)
-    nodes = np.linspace(z_lo, z_hi, cfg.curve_points)
-
-    order = np.argsort(zs, kind="stable")
-    xs = zs[order]
-    k = min(max(ceil_int(cfg.loess_d * n), 1), n)
-    if k < n:
-        mids = (xs[: n - k] + xs[k:]) / 2.0
-        lo = np.searchsorted(mids, nodes, side="left")
-        win = k
-    else:
-        lo = np.zeros(nodes.shape, dtype=int)
-        win = n
-    idx = lo[:, None] + np.arange(win)
-    xw = xs[idx]
-    dist = np.abs(xw - nodes[:, None])
-    dk = dist.max(axis=1)
-
-    zero_dk = dk == 0.0
-    u = dist / np.where(zero_dk, 1.0, dk)[:, None]
-    if np.any(zero_dk):
-        u[zero_dk] = np.where(dist[zero_dk] == 0.0, 0.0, 2.0)
-    w = (1.0 - np.minimum(u, 1.0) ** 3) ** 3
-
-    npos = np.count_nonzero(w > 0.0, axis=1)
-    xc = xw - nodes[:, None]
-    s0 = w.sum(axis=1)
-    wx = w * xc
-    s1 = wx.sum(axis=1)
-    s2 = (wx * xc).sum(axis=1)
-
-    none_mask = npos == 0
-    base = npos >= 1
-    want1 = npos >= 2
-    det1 = s0 * s2 - s1 * s1
-    ok1 = want1 & (det1 > 1e-12 * s0 * s2)
-    design = _LoessDesign(
-        nodes=nodes,
-        oidx=order[idx],
-        w=w,
-        wx=wx,
-        nearest=np.argmin(dist, axis=1),
-        s0=s0,
-        s1=s1,
-        s2=s2,
-        base=base,
-        ok1=ok1,
-        det1=det1,
-        none_mask=none_mask,
-    )
-
-    if cfg.loess_degree == 2:
-        wx2 = wx * xc
-        s3 = (wx2 * xc).sum(axis=1)
-        s4 = (wx2 * xc * xc).sum(axis=1)
-        want2 = npos >= 3
-        c22 = s2 * s4 - s3 * s3
-        c12 = s1 * s4 - s2 * s3
-        c11 = s1 * s3 - s2 * s2
-        det2 = s0 * c22 - s1 * c12 + s2 * c11
-        design.wx2, design.s3, design.s4 = wx2, s3, s4
-        design.ok2 = want2 & (det2 > 1e-10 * s0 * s2 * s4)
-        design.det2 = det2
-        design.c22, design.c12, design.c11 = c22, c12, c11
-    return design
-
-
-def _loess_apply(design: _LoessDesign, responses: np.ndarray):
-    """Fit each response row on a prepared design; returns (nodes, curves)."""
-    if design.mean_only:
-        return design.nodes, responses.mean(axis=1)[:, None].copy()
-    yw = responses[:, design.oidx]
-    t0 = np.einsum("mw,kmw->km", design.w, yw)
-    t1 = np.einsum("mw,kmw->km", design.wx, yw)
-
-    curves = np.empty((responses.shape[0], design.nodes.shape[0]))
-    base, ok1 = design.base, design.ok1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_pred = np.where(base, t0 / np.where(base, design.s0, 1.0), 0.0)
-    curves[:, base] = mean_pred[:, base]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pred1 = (design.s2 * t0 - design.s1 * t1) / np.where(ok1, design.det1, 1.0)
-    curves[:, ok1] = pred1[:, ok1]
-
-    if design.wx2 is not None:
-        t2 = np.einsum("mw,kmw->km", design.wx2, yw)
-        s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
-        ok2 = design.ok2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            num = t0 * design.c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
-            pred2 = num / np.where(ok2, design.det2, 1.0)
-        curves[:, ok2] = pred2[:, ok2]
-
-    if np.any(design.none_mask):
-        for i in np.nonzero(design.none_mask)[0]:
-            curves[:, i] = yw[:, i, design.nearest[i]]
-    return design.nodes, curves
-
-
-def _fit_curves(zs: np.ndarray, responses: np.ndarray, cfg: DpConfig):
-    """LOESS fits of each response row on ``zs``, sampled on a z-node grid.
-
-    Shares the sort, neighbourhood windows and tri-cube weights across all
-    response rows; the per-node math matches
-    :class:`~pensionsim.lsmc.LoessModel` exactly.
-    """
-    return _loess_apply(_loess_geometry(zs, cfg), responses)
-
-
 def _plin_eval(nodes: np.ndarray, curves: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Evaluate each piecewise-linear curve at q with flat extrapolation."""
     j = np.clip(np.searchsorted(nodes, q, side="right"), 1, nodes.shape[0] - 1)
@@ -297,10 +157,21 @@ def _envelope(nodes: np.ndarray, curves: np.ndarray):
 
 
 def _policy_lookup(breaks: np.ndarray, regions: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Grid indices a step policy picks for ratios z."""
-    if breaks.shape[0] == 0:
+    """Grid indices a step policy picks for ratios z.
+
+    Each ratio takes the region after the last break <= z.
+    """
+    nb = breaks.shape[0]
+    if nb == 0:
         return np.full(z.shape, regions[0], dtype=np.int64)
-    return regions[np.searchsorted(breaks, z.ravel(), side="right")].reshape(z.shape)
+    if nb <= 8:
+        # a handful of comparisons beats a binary search here
+        idx = (z >= breaks[0]).astype(np.intp)
+        for b in breaks[1:]:
+            idx += z >= b
+    else:
+        idx = np.searchsorted(breaks, z.ravel(), side="right").reshape(z.shape)
+    return regions[idx]
 
 
 @dataclass
@@ -411,10 +282,6 @@ class _SnakeSolver:
         for s in range(start, self.nd):
             self.z[s + 1] = self.z[s] * self.factors[s][self.decisions[s], self._paths]
 
-    def _utility(self, z: np.ndarray) -> np.ndarray:
-        beta = self.cfg.beta
-        return (-((z - beta) ** 2) - (z - self.cfg.z_min) ** 2) / z
-
     def _stale(self, s: int) -> bool:
         fitted = self._fitted_at[s]
         if fitted < 0:
@@ -435,31 +302,22 @@ class _SnakeSolver:
             return
         zk = self.z[s][None, :] * self.factors[s]
         for t in range(s + 1, self.nd):
-            breaks, regions = self._env[t]
-            fac = self.factors[t]
-            nb = breaks.shape[0]
-            if nb == 0:
-                np.multiply(zk, fac[regions[0]][None, :], out=zk)
-            else:
-                if nb <= 8:
-                    # a handful of comparisons beats a binary search here
-                    idx = (zk >= breaks[0]).astype(np.intp)
-                    for b in breaks[1:]:
-                        idx += zk >= b
-                else:
-                    idx = np.searchsorted(breaks, zk.ravel(), side="right").reshape(
-                        zk.shape
-                    )
-                np.multiply(zk, fac[regions[idx], self._paths[None, :]], out=zk)
-        u = self._utility(zk)
+            idx = _policy_lookup(*self._env[t], zk)
+            np.multiply(zk, self.factors[t][idx, self._paths[None, :]], out=zk)
+        u = utility_check(zk, self.cfg)
         key = int(self._dec_stamp[:s].max()) if s > 0 else 0
         if self._design_key[s] != key:
-            self._design[s] = _loess_geometry(self.z[s], self.cfg)
+            zs = self.z[s]
+            z_lo, z_hi = float(zs.min()), float(zs.max())
+            if z_lo < z_hi:
+                nodes = np.linspace(z_lo, z_hi, self.cfg.curve_points)
+            else:
+                nodes = np.array([z_lo])
+            self._design[s] = _loess_geometry(zs, nodes, self.cfg.loess_d, self.cfg.loess_degree)
+            self.z_nodes[s] = nodes
             self._design_key[s] = key
-        nodes, curves = _loess_apply(self._design[s], u)
-        self.z_nodes[s] = nodes
-        self.curves[s] = curves
-        env = _envelope(nodes, curves)
+        self.curves[s] = _loess_apply(self._design[s], u)
+        env = _envelope(self.z_nodes[s], self.curves[s])
         old = self._env[s]
         if old is None or not (
             np.array_equal(env[0], old[0]) and np.array_equal(env[1], old[1])
@@ -485,7 +343,7 @@ class _SnakeSolver:
                 self._refresh(i)
                 for tf in range(i + 1, last + 1):
                     self._refresh(tf)
-            self.trace.append(float(self._utility(self.z[self.nd]).mean()))
+            self.trace.append(float(utility_check(self.z[self.nd], self.cfg).mean()))
 
 
 def _step_factors(inputs: SimulationInputs, frame: TargetFrame, cfg: DpConfig) -> np.ndarray:
@@ -601,8 +459,7 @@ class CombinationStrategy:
                 for t in range(tau, T):
                     a = policy.alpha_at(t, z)
                     tranche_alpha[:, t, tau] = a
-                    growth = a * (1.0 + x[:, t + 1]) + (1.0 - a) * (1.0 + m[:, t + 1])
-                    z = z * growth / (frame.er[:, t + 1] * (1.0 + m[:, t + 1]))
+                    z = z_step(z, a, x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
         tranche_alpha[:, T, :] = 0.0
 
         tranche_wealth = np.zeros((n, T + 1))

@@ -3,11 +3,16 @@
 Three tools, all operating across simulated scenarios rather than through
 nested simulation:
 
-* :func:`regress_now` — global least squares of realized future payoffs on
-  functions of the current state (the classic simulation-regression step).
+* :func:`regress_now` — least-squares line of realized future payoffs on
+  the current state (the classic simulation-regression step).
 * :class:`LoessModel` / :func:`loess_eval` — local weighted polynomial
   regression with tri-cube weights over the ``k = ceil(d*n)`` nearest
-  neighbours of the query point.
+  neighbours of the query point.  The fit is split into a design step
+  (``_loess_geometry``: sort, windows, weights and moment sums for given
+  training abscissae and query points) and an apply step (``_loess_apply``:
+  a batch of response rows on that design).  This is the package's only
+  LOESS; the dynamic-programming solver fits its expected-utility curves
+  with the same two steps.
 * :func:`expected_inflation` — the cumulative-inflation cross-sectional
   regression that converts realized inflation into a per-path annual
   expected-inflation rate, plus :class:`InflationEstimator`, the full
@@ -24,7 +29,6 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "BasisSpec",
     "regress_now",
     "tricube_weight",
     "LoessModel",
@@ -51,67 +55,29 @@ def ceil_int(value: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Ordered basis functions for the global regression."""
-
-    functions: tuple
-    names: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.functions) < 1:
-            raise ParameterError("basis needs at least one function")
-
-    @staticmethod
-    def linear() -> "BasisSpec":
-        """The {1, x} basis used for the inflation and market-factor fits."""
-        return BasisSpec((lambda z: np.ones_like(z), lambda z: z), ("1", "x"))
-
-    def design(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        cols = []
-        for f in self.functions:
-            v = np.asarray(f(x), dtype=float)
-            cols.append(np.broadcast_to(v, x.shape) if v.shape != x.shape else v)
-        return np.column_stack(cols)
-
-    def predict(self, coef: np.ndarray, x) -> np.ndarray:
-        scalar = np.isscalar(x)
-        out = self.design(np.atleast_1d(np.asarray(x, dtype=float))) @ coef
-        return float(out[0]) if scalar else out
+def _line_design(x: np.ndarray) -> np.ndarray:
+    """The [1, x] design of a least-squares line."""
+    return np.column_stack((np.ones_like(x), x))
 
 
-def _independent_columns(a: np.ndarray) -> list[int]:
-    keep: list[int] = []
-    for j in range(a.shape[1]):
-        if np.linalg.matrix_rank(a[:, keep + [j]]) == len(keep) + 1:
-            keep.append(j)
-    return keep
+def regress_now(x, y) -> np.ndarray:
+    """Least-squares intercept and slope of y on x.
 
-
-def regress_now(x, y, basis: BasisSpec | None = None) -> np.ndarray:
-    """Least-squares coefficients of y on basis functions of x.
-
-    The predictor is ``x -> sum_j coef[j] * phi_j(x)``.  A rank-deficient
-    design never raises: collinear columns are dropped (earliest independent
-    columns kept) and their coefficients reported as zero.
+    The predictor is ``x -> coef[0] + coef[1] * x``.  A rank-deficient
+    design (x constant) never raises: the fit falls back to the intercept
+    alone and reports a zero slope.
     """
-    basis = basis if basis is not None else BasisSpec.linear()
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise ParameterError(f"sample size mismatch: {x.shape} vs {y.shape}")
-    design = basis.design(x)
-    if len(x) < design.shape[1]:
-        raise ParameterError(
-            f"need at least {design.shape[1]} samples, got {len(x)}"
-        )
+    if len(x) < 2:
+        raise ParameterError(f"need at least 2 samples, got {len(x)}")
+    design = _line_design(x)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        keep = _independent_columns(design)
-        reduced, *_ = np.linalg.lstsq(design[:, keep], y, rcond=None)
-        coef = np.zeros(design.shape[1])
-        coef[keep] = reduced
+    if rank < 2:
+        intercept = np.linalg.lstsq(design[:, :1], y, rcond=None)[0]
+        coef = np.array([intercept[0], 0.0])
     return coef
 
 
@@ -128,6 +94,159 @@ def tricube_weight(u):
     clipped = np.minimum(arr, 1.0)
     w = (1.0 - clipped**3) ** 3
     return w if isinstance(u, np.ndarray) else float(w)
+
+
+def _window_size(d: float, n: int) -> int:
+    """k = ceil(d * n): the number of nearest neighbours a LOESS fit weights."""
+    return min(max(ceil_int(d * n), 1), n)
+
+
+@dataclass
+class _LoessDesign:
+    """Design-side factors of a LOESS fit: everything that depends only on
+    the training abscissae and the query points.
+
+    Splitting these from the response-side sums lets a caller re-fit the same
+    design against fresh responses without redoing the sort, window search,
+    tri-cube weights and normal-equation coefficients.
+    """
+
+    n_queries: int
+    mean_only: bool = False
+    oidx: np.ndarray | None = None
+    w: np.ndarray | None = None
+    wx: np.ndarray | None = None
+    wx2: np.ndarray | None = None
+    nearest: np.ndarray | None = None
+    s0: np.ndarray | None = None
+    s1: np.ndarray | None = None
+    s2: np.ndarray | None = None
+    s3: np.ndarray | None = None
+    s4: np.ndarray | None = None
+    base: np.ndarray | None = None
+    ok1: np.ndarray | None = None
+    ok2: np.ndarray | None = None
+    det1: np.ndarray | None = None
+    det2: np.ndarray | None = None
+    c22: np.ndarray | None = None
+    c12: np.ndarray | None = None
+    c11: np.ndarray | None = None
+    none_mask: np.ndarray | None = None
+
+
+def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -> _LoessDesign:
+    """Sort, windows, tri-cube weights and moment sums of a LOESS design.
+
+    ``x`` holds the n training abscissae and ``queries`` the points the fit
+    is evaluated at; ``d`` and ``degree`` are as in :class:`LoessModel`.
+    """
+    n = x.shape[0]
+    if n < 2 or x.min() == x.max():
+        # one distinct training abscissa: every fit degenerates to the mean
+        return _LoessDesign(n_queries=queries.shape[0], mean_only=True)
+
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    k = _window_size(d, n)
+    if k < n:
+        # window-start boundaries: a query above (xs[s] + xs[s+k])/2 shifts
+        # the k-nearest window from start s to s+1
+        mids = (xs[: n - k] + xs[k:]) / 2.0
+        lo = np.searchsorted(mids, queries, side="left")
+        win = k
+    else:
+        lo = np.zeros(queries.shape, dtype=int)
+        win = n
+    idx = lo[:, None] + np.arange(win)
+    xw = xs[idx]
+    dist = np.abs(xw - queries[:, None])
+    dk = dist.max(axis=1)
+
+    zero_dk = dk == 0.0
+    u = dist / np.where(zero_dk, 1.0, dk)[:, None]
+    if np.any(zero_dk):
+        # the k nearest points all coincide with the query: weight exact
+        # matches only (their tri-cube argument is 0/0)
+        u[zero_dk] = np.where(dist[zero_dk] == 0.0, 0.0, 2.0)
+    w = tricube_weight(u)
+
+    npos = np.count_nonzero(w > 0.0, axis=1)
+    xc = xw - queries[:, None]
+    s0 = w.sum(axis=1)
+    wx = w * xc
+    s1 = wx.sum(axis=1)
+    s2 = (wx * xc).sum(axis=1)
+
+    want1 = npos >= 2  # at least degree-1 worth of support
+    det1 = s0 * s2 - s1 * s1
+    design = _LoessDesign(
+        n_queries=queries.shape[0],
+        oidx=order[idx],
+        w=w,
+        wx=wx,
+        nearest=np.argmin(dist, axis=1),
+        s0=s0,
+        s1=s1,
+        s2=s2,
+        base=npos >= 1,
+        ok1=want1 & (det1 > 1e-12 * s0 * s2),
+        det1=det1,
+        none_mask=npos == 0,
+    )
+
+    if degree == 2:
+        wx2 = wx * xc
+        s3 = (wx2 * xc).sum(axis=1)
+        s4 = (wx2 * xc * xc).sum(axis=1)
+        want2 = npos >= 3
+        c22 = s2 * s4 - s3 * s3
+        c12 = s1 * s4 - s2 * s3
+        c11 = s1 * s3 - s2 * s2
+        det2 = s0 * c22 - s1 * c12 + s2 * c11
+        design.wx2, design.s3, design.s4 = wx2, s3, s4
+        design.ok2 = want2 & (det2 > 1e-10 * s0 * s2 * s4)
+        design.det2 = det2
+        design.c22, design.c12, design.c11 = c22, c12, c11
+    return design
+
+
+def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
+    """Fit each response row on a prepared design.
+
+    ``responses`` has one row per fit and one column per training point;
+    the result has one row per fit and one column per query point.
+    """
+    if design.mean_only:
+        return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
+    yw = responses[:, design.oidx]
+    t0 = np.einsum("mw,kmw->km", design.w, yw)
+    t1 = np.einsum("mw,kmw->km", design.wx, yw)
+
+    fits = np.empty((responses.shape[0], design.n_queries))
+    base, ok1 = design.base, design.ok1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_pred = np.where(base, t0 / np.where(base, design.s0, 1.0), 0.0)
+    fits[:, base] = mean_pred[:, base]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pred1 = (design.s2 * t0 - design.s1 * t1) / np.where(ok1, design.det1, 1.0)
+    fits[:, ok1] = pred1[:, ok1]
+
+    if design.wx2 is not None:
+        t2 = np.einsum("mw,kmw->km", design.wx2, yw)
+        s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
+        ok2 = design.ok2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            num = t0 * design.c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
+            pred2 = num / np.where(ok2, design.det2, 1.0)
+        fits[:, ok2] = pred2[:, ok2]
+
+    if np.any(design.none_mask):
+        # all tri-cube weights vanished (every neighbour sits exactly at the
+        # cutoff distance): fall back to the nearest training value, lowest
+        # x first on ties
+        for i in np.nonzero(design.none_mask)[0]:
+            fits[:, i] = yw[:, i, design.nearest[i]]
+    return fits
 
 
 class LoessModel:
@@ -157,17 +276,9 @@ class LoessModel:
         self.d = float(d)
         self.degree = int(degree)
         self.n = len(x)
-        self.k = min(max(ceil_int(self.d * self.n), 1), self.n)
-        order = np.argsort(x, kind="stable")
-        self._xs = x[order]
-        self._ys = y[order]
-        self._distinct = int(np.count_nonzero(np.diff(self._xs)) + 1)
-        # window-start boundaries: query above (xs[s] + xs[s+k])/2 shifts the
-        # k-nearest window from start s to s+1
-        if self.k < self.n:
-            self._mids = (self._xs[: self.n - self.k] + self._xs[self.k :]) / 2.0
-        else:
-            self._mids = np.empty(0)
+        self.k = _window_size(self.d, self.n)
+        self._x = x
+        self._y = y
 
     # internal: evaluate the fitted local polynomial at each query point
     def _evaluate(self, queries: np.ndarray) -> np.ndarray:
@@ -176,77 +287,8 @@ class LoessModel:
             return np.empty(0)
         if not np.all(np.isfinite(q)):
             raise DomainError("query points must be finite")
-        if self._distinct < 2:
-            # one distinct training abscissa: every fit degenerates to the mean
-            return np.full(q.shape, float(self._ys.mean()))
-
-        xs, ys = self._xs, self._ys
-        if self.k >= self.n:
-            lo = np.zeros(q.shape, dtype=int)
-            win = self.n
-        else:
-            lo = np.searchsorted(self._mids, q, side="left")
-            win = self.k
-        idx = lo[:, None] + np.arange(win)
-        xw = xs[idx]
-        yw = ys[idx]
-        dist = np.abs(xw - q[:, None])
-        dk = dist.max(axis=1)
-
-        zero_dk = dk == 0.0
-        u = dist / np.where(zero_dk, 1.0, dk)[:, None]
-        if np.any(zero_dk):
-            # the k nearest points all coincide with the query: weight exact
-            # matches only (their tri-cube argument is 0/0)
-            u[zero_dk] = np.where(dist[zero_dk] == 0.0, 0.0, 2.0)
-        w = (1.0 - np.minimum(u, 1.0) ** 3) ** 3
-
-        npos = np.count_nonzero(w > 0.0, axis=1)
-        xc = xw - q[:, None]
-        s0 = w.sum(axis=1)
-        t0 = (w * yw).sum(axis=1)
-        wx = w * xc
-        s1 = wx.sum(axis=1)
-        s2 = (wx * xc).sum(axis=1)
-        t1 = (wx * yw).sum(axis=1)
-
-        out = np.empty(q.shape)
-        none_mask = npos == 0
-        base = npos >= 1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_pred = np.where(base, t0 / np.where(base, s0, 1.0), 0.0)
-        out[base] = mean_pred[base]
-
-        want1 = npos >= 2  # at least degree-1 worth of support
-        det1 = s0 * s2 - s1 * s1
-        ok1 = want1 & (det1 > 1e-12 * s0 * s2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pred1 = (s2 * t0 - s1 * t1) / np.where(ok1, det1, 1.0)
-        out[ok1] = pred1[ok1]
-
-        if self.degree == 2:
-            wx2 = wx * xc
-            s3 = (wx2 * xc).sum(axis=1)
-            s4 = (wx2 * xc * xc).sum(axis=1)
-            t2 = (wx2 * yw).sum(axis=1)
-            want2 = npos >= 3
-            c22 = s2 * s4 - s3 * s3
-            c12 = s1 * s4 - s2 * s3
-            c11 = s1 * s3 - s2 * s2
-            det2 = s0 * c22 - s1 * c12 + s2 * c11
-            ok2 = want2 & (det2 > 1e-10 * s0 * s2 * s4)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                num = t0 * c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
-                pred2 = num / np.where(ok2, det2, 1.0)
-            out[ok2] = pred2[ok2]
-
-        if np.any(none_mask):
-            # all tri-cube weights vanished (every neighbour sits exactly at
-            # the cutoff distance): fall back to the nearest training value,
-            # lowest x first on ties
-            for i in np.nonzero(none_mask)[0]:
-                out[i] = yw[i, int(np.argmin(dist[i]))]
-        return out
+        design = _loess_geometry(self._x, q, self.d, self.degree)
+        return _loess_apply(design, self._y[None, :])[0]
 
 
 def loess_batch(model: LoessModel, queries) -> np.ndarray:
@@ -344,14 +386,13 @@ class InflationEstimator:
     ``rates[:, t]`` is I(T; t); the column at t = T carries the t = T-1 value
     forward (annuity pricing at retirement still needs an expected-inflation
     rate, and the same annual rate extends beyond the regression's last
-    observation year).  ``coefs[t]`` stores (xi1, xi2) for t < T and
-    ``cum`` the realized cumulative inflation used as the regressor.
+    observation year).  ``cum`` is the realized cumulative inflation used as
+    the regressor.
     """
 
     T: int
     floor: float
     rates: np.ndarray   # (n_paths, T+1)
-    coefs: np.ndarray   # (T, 2)
     cum: np.ndarray     # (n_paths, T+1)
 
     @classmethod
@@ -359,31 +400,13 @@ class InflationEstimator:
         if not 1 <= T <= scenarios.horizon:
             raise DomainError(f"need 1 <= T <= horizon, got T={T}")
         cum = _cumulative_inflation(scenarios.pi)[:, : T + 1]
-        n = scenarios.n_paths
-        rates = np.empty((n, T + 1))
-        coefs = np.empty((T, 2))
+        rates = np.empty((scenarios.n_paths, T + 1))
         for t in range(T):
-            xi1, xi2, rates[:, t] = _fit_single_year(cum, t, T, floor)
-            coefs[t] = (xi1, xi2)
+            rates[:, t] = _fit_single_year(cum, t, T, floor)[2]
         rates[:, T] = rates[:, T - 1]
-        return cls(T=T, floor=floor, rates=rates, coefs=coefs, cum=cum)
+        return cls(T=T, floor=floor, rates=rates, cum=cum)
 
     def annual_rate(self, t: int) -> np.ndarray:
         if not 0 <= t <= self.T:
             raise DomainError(f"t={t} outside 0..{self.T}")
         return self.rates[:, t]
-
-    def projected_rate(self, t: int, k: int) -> np.ndarray:
-        """I(T; k) as projectable from time t <= k.
-
-        For k > t the horizon-k fitted line is evaluated at the projected
-        regressor ``cum_t * (1 + I_t)^(k-t)`` (information available at t),
-        floored and rooted exactly like the in-sample rates.
-        """
-        if not 0 <= t <= k <= self.T - 1:
-            raise DomainError(f"need 0 <= t <= k < T, got t={t}, k={k}")
-        if k == t:
-            return self.rates[:, t]
-        xhat = self.cum[:, t] * (1.0 + self.rates[:, t]) ** (k - t)
-        levels = self.coefs[k, 0] * xhat + self.coefs[k, 1]
-        return _annualize(levels, self.T - k - 1, self.floor)

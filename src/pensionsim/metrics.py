@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import SimulationInputs
 from .errors import DomainError, EstimatorError, ParameterError
-from .lsmc import BasisSpec, ceil_int, regress_now
+from .lsmc import _line_design, ceil_int, regress_now
 from .strategies import TargetFrame, TargetParams
 
 __all__ = [
@@ -126,9 +126,7 @@ class ReplacementEstimators:
         self.frame = TargetFrame.build(inputs, params)
         T = inputs.T
         M = inputs.market.M
-        basis = BasisSpec.linear()
-        self._m_fits = [regress_now(M[:, t], M[:, T], basis) for t in range(T)]
-        self._basis = basis
+        self._m_fits = [regress_now(M[:, t], M[:, T]) for t in range(T)]
         self._den_cache: dict = {}
         self._contrib_cache: dict = {}
 
@@ -139,7 +137,7 @@ class ReplacementEstimators:
         T = self.inputs.T
         if t == T:
             return self.inputs.market.M[:, T]
-        pred = self._basis.predict(self._m_fits[t], self.inputs.market.M[:, t])
+        pred = _line_design(self.inputs.market.M[:, t]) @ self._m_fits[t]
         if np.any(pred <= 0.0):
             raise EstimatorError("regressed terminal annuity factor is not positive")
         return pred

@@ -29,7 +29,6 @@ from .errors import ParameterError, SchemaError, ShapeError
 __all__ = [
     "VARIABLES",
     "ModelParams",
-    "EconomicState",
     "ScenarioSet",
     "MomentReport",
     "simulate",
@@ -141,16 +140,6 @@ def _psd_factor(cov: np.ndarray, what: str) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-@dataclass(frozen=True)
-class EconomicState:
-    """Economy snapshot on one path in one year."""
-
-    equity_return: float
-    inflation: float
-    wage_inflation: float
-    yield_curve: dict[int, float]  # pillar maturity (years) -> spot rate
-
-
 @dataclass
 class ScenarioSet:
     """Rectangular panel of economic states over (path, year).
@@ -193,15 +182,6 @@ class ScenarioSet:
     def n_pillars(self) -> int:
         return self.curves.shape[2]
 
-    def state(self, path: int, year: int) -> EconomicState:
-        curve = {m + 1: float(self.curves[path, year, m]) for m in range(self.n_pillars)}
-        return EconomicState(
-            equity_return=float(self.x[path, year]),
-            inflation=float(self.pi[path, year]),
-            wage_inflation=float(self.w[path, year]),
-            yield_curve=curve,
-        )
-
     def rates(self, year: int, maturities, paths=None) -> np.ndarray:
         """Spot rates at ``year`` for (possibly fractional) maturities.
 
@@ -216,18 +196,6 @@ class ScenarioSet:
         frac = np.clip(q - lo, 0.0, 1.0)
         block = self.curves[:, year, :] if paths is None else self.curves[paths, year, :]
         return block[:, lo - 1] * (1.0 - frac) + block[:, hi - 1] * frac
-
-    def equal_states(self, other: "ScenarioSet") -> bool:
-        """True when the two sets carry identical state arrays (provenance ignored)."""
-        return (
-            self.n_paths == other.n_paths
-            and self.horizon == other.horizon
-            and self.wage_spread == other.wage_spread
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.pi, other.pi)
-            and np.array_equal(self.w, other.w)
-            and np.array_equal(self.curves, other.curves)
-        )
 
 
 def simulate(

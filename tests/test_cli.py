@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from pensionsim import cli
+from pensionsim import DpConfig, ModelParams, cli
 from pensionsim.errors import ConfigError
 
 # small, fast setup shared by most runs: 10-year horizon, few paths
@@ -46,6 +46,12 @@ def test_print_defaults_round_trips(tmp_path, capsys):
     # every known key appears exactly once
     keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
     assert keys == list(cli.DEFAULTS)
+
+
+def test_default_config_builds_dataclass_defaults():
+    cfg = cli.default_config()
+    assert cli._model_params(cfg) == ModelParams()
+    assert cli._dp_config(cfg) == DpConfig()
 
 
 def test_defaults_without_config_file():

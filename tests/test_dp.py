@@ -23,6 +23,7 @@ from pensionsim import (
     utility_check,
     z_step,
 )
+from pensionsim.dp import _policy_lookup
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.market import AnnuitySpec
 
@@ -229,6 +230,18 @@ def test_policy_lookup_interpolates_between_nodes(small_inputs):
         0.5 * (curves[:, 4] + curves[:, 5]),
         rtol=1e-13,
     )
+
+
+@pytest.mark.parametrize("nb", [0, 1, 3, 8, 9, 15])
+def test_step_policy_lookup_counts_breaks_at_or_below(nb):
+    # the compare path (up to 8 breaks) and the binary search agree with a
+    # direct count of the breaks <= z, ratios sitting exactly on a break included
+    rng = np.random.default_rng(nb)
+    breaks = np.sort(rng.uniform(0.5, 3.0, nb))
+    regions = rng.integers(0, 6, nb + 1)
+    z = np.concatenate([rng.uniform(0.0, 3.5, 400 - nb), breaks]).reshape(2, -1)
+    want = regions[(breaks[None, None, :] <= z[:, :, None]).sum(axis=2)]
+    assert np.array_equal(_policy_lookup(breaks, regions, z), want)
 
 
 def test_export_policy_csv_round_trips(small_inputs):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import flat_params
 from pensionsim import (
-    BasisSpec,
     InflationEstimator,
     LoessModel,
     expected_inflation,
@@ -61,21 +62,11 @@ def test_regress_now_collinear_design_falls_back():
     np.testing.assert_allclose(coef, [y.mean(), 0.0], rtol=1e-12)
 
 
-def test_regress_now_custom_basis():
-    basis = BasisSpec(
-        (lambda z: np.ones_like(z), lambda z: z, lambda z: z * z), ("1", "x", "x^2")
-    )
-    x = np.linspace(-1, 2, 12)
-    coef = regress_now(x, x**2, basis=basis)
-    np.testing.assert_allclose(coef, [0.0, 0.0, 1.0], atol=1e-10)
-    np.testing.assert_allclose(basis.predict(coef, 3.0), 9.0, rtol=1e-10)
-
-
 def test_regress_now_validation():
     with pytest.raises(ParameterError):
         regress_now([1.0, 2.0], [1.0])
     with pytest.raises(ParameterError):
-        regress_now([1.0], [1.0])  # fewer samples than basis functions
+        regress_now([1.0], [1.0])  # a line needs two samples
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +125,10 @@ def _loess_oracle(x, y, q, d, degree):
     dist = np.abs(x - q)
     scale = np.sort(dist)[k - 1]
     w = np.where(dist < scale, (1.0 - (dist / scale) ** 3) ** 3, 0.0)
-    a = np.vander(x, degree + 1, increasing=True)
+    a = np.vander(x - q, degree + 1, increasing=True)  # centred at the query
     aw = a * w[:, None]
     beta = np.linalg.solve(a.T @ aw, aw.T @ y)
-    return sum(beta[j] * q**j for j in range(degree + 1))
+    return beta[0]
 
 
 @pytest.mark.parametrize("d", [0.2, 0.5, 1.0])
@@ -154,6 +145,43 @@ def test_loess_matches_pointwise_weighted_fit(d, degree):
             rtol=1e-9,
             atol=1e-12,
         )
+
+
+@st.composite
+def _loess_samples(draw):
+    """Distinct abscissae (0.01 apart or more), responses, d, degree and queries."""
+    ints = draw(st.lists(st.integers(-500, 500), min_size=6, max_size=80, unique=True))
+    x = np.array(ints, dtype=float) / 100.0
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=len(x), max_size=len(x))))
+    degree = draw(st.sampled_from([1, 2]))
+    # d in (0, 1], drawn above the share that leaves the oracle too few points
+    d = draw(st.floats((degree + 4) / len(x), 1.0))
+    q = draw(st.lists(st.floats(x.min(), x.max()), min_size=1, max_size=5))
+    return x, y, d, degree, np.array(q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_loess_samples())
+def test_loess_matches_oracle_on_drawn_samples(sample):
+    x, y, d, degree, q = sample
+    # enough support that the oracle's normal equations are non-singular even
+    # with one point tied at the cutoff on each side of the query
+    assume(int(np.ceil(round(d * len(x), 9))) >= degree + 4)
+    model = LoessModel(x, y, d=d, degree=degree)
+    want = [_loess_oracle(x, y, v, d, degree) for v in q]
+    np.testing.assert_allclose(loess_batch(model, q), want, rtol=1e-9, atol=1e-9)
+
+
+def test_loess_all_zero_weights_return_nearest_lower_value():
+    # k = 2: a query midway between two neighbours puts both at the cutoff
+    # distance, so every tri-cube weight is zero; the lower x wins the tie
+    x = np.array([2.0, 0.0, 3.0, 1.0])
+    y = np.array([30.0, 10.0, 40.0, 20.0])
+    model = LoessModel(x, y, d=0.5, degree=1)
+    assert model.k == 2
+    assert loess_eval(model, 1.5) == 20.0
+    assert loess_eval(model, 0.5) == 10.0
+    assert loess_eval(model, 2.5) == 30.0
 
 
 def test_loess_duplicate_cluster_falls_back_to_mean():
@@ -249,19 +277,6 @@ def test_estimator_table_matches_single_year_fits(small_inputs):
 
 def test_estimator_rates_keep_growth_positive(default_inputs):
     assert (1.0 + default_inputs.inflation.rates).min() > 0.0
-
-
-def test_projected_rate_consistency():
-    s = simulate(flat_params(mean_pi=0.02), 3, 8, seed=4)
-    est = InflationEstimator.fit(s, 8)
-    assert np.array_equal(est.projected_rate(2, 2), est.rates[:, 2])
-    # deterministic world: projecting the regressor reproduces in-sample fits
-    for t, k in ((0, 3), (2, 6), (1, 7)):
-        np.testing.assert_allclose(est.projected_rate(t, k), est.rates[:, k], rtol=1e-12)
-    with pytest.raises(DomainError):
-        est.projected_rate(3, 2)
-    with pytest.raises(DomainError):
-        est.projected_rate(0, 8)
 
 
 def test_expected_inflation_domain():
