@@ -17,9 +17,17 @@ Terminal utility rewards ending between the configured ratio bounds:
 
     U(z) = [-(z - beta)^2 - (z - z_min)^2] / z,  beta = sqrt(2 z_max^2 - z_min^2)
 
-whose maximum sits exactly at z_max.  :func:`utility_check` computes it,
-:func:`z_step` moves a ratio one year, and ``_policy_lookup`` reads a step
-policy; the solver and the shared-mode strategy call these, with no copies.
+whose maximum sits exactly at z_max.  :func:`utility_check` computes it and
+:func:`z_step` moves a ratio one year; the solver and the shared-mode
+strategy call these, with no copies.
+
+Each fitted step becomes a step policy over z (``_StepPolicy``, built once
+per changed envelope) with one exact lookup: breaks go into uniform buckets
+through a monotone float map, so breaks in other buckets than z's lie on
+the known side of z and a ratio needs a table read plus one compare per
+break in its bucket.  The rollout gathers growth factors by flat
+``region * n + path`` indices, and a refresh that changes decisions
+re-rolls only the paths whose decision changed.
 """
 
 from __future__ import annotations
@@ -131,7 +139,7 @@ def _envelope(nodes: np.ndarray, curves: np.ndarray):
 
     Returns ``(breaks, regions)`` where ``regions[i]`` is the winning grid
     index on the i-th interval of the partition cut at ``breaks`` (flat tails
-    included).  Looking a ratio up via ``searchsorted`` then agrees with
+    included).  Taking the region after the last break <= z then agrees with
     argmax over the interpolated curves everywhere except exactly on a break,
     where the tied neighbours have equal fitted value anyway.
     """
@@ -156,22 +164,74 @@ def _envelope(nodes: np.ndarray, curves: np.ndarray):
     return cand[change], np.concatenate([reg[:1], reg[1:][change]]).astype(np.int64)
 
 
-def _policy_lookup(breaks: np.ndarray, regions: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Grid indices a step policy picks for ratios z.
+class _StepPolicy:
+    """A step policy over z with an exact bucketed break lookup.
 
-    Each ratio takes the region after the last break <= z.
+    ``regions[i]`` is the grid index the policy picks on the i-th interval
+    of the partition cut at the strictly increasing ``breaks``: a ratio z
+    takes the region after the last break <= z, so the lookup is a count of
+    the breaks <= z.
+
+    The count goes through ``8 * len(breaks)`` uniform buckets between the
+    first and last break, plus one bucket below and one above.  A value v
+    lands in bucket ``int(clip((v - b0) * inv + 1, 0, top))``.  Every step of
+    that float expression is monotone non-decreasing in v, so a break in a
+    lower bucket than z is <= z and a break in a higher bucket is > z.  Only
+    the breaks sharing z's bucket are compared, which makes the count exact:
+    it equals a binary search for every z, breaks themselves included.
+    ``_start[j]`` counts the breaks in buckets below j and ``_table[q, j]``
+    holds the q-th break of bucket j (+inf where the bucket has fewer).
+
+    ``offsets`` are the regions as row offsets into a flattened
+    (allocation, path) slab of n paths, so :meth:`flat_index` turns a
+    lookup over per-path ratios into one 1-D gather.
     """
-    nb = breaks.shape[0]
-    if nb == 0:
-        return np.full(z.shape, regions[0], dtype=np.int64)
-    if nb <= 8:
-        # a handful of comparisons beats a binary search here
-        idx = (z >= breaks[0]).astype(np.intp)
-        for b in breaks[1:]:
-            idx += z >= b
-    else:
-        idx = np.searchsorted(breaks, z.ravel(), side="right").reshape(z.shape)
-    return regions[idx]
+
+    def __init__(self, breaks: np.ndarray, regions: np.ndarray, n: int):
+        self.breaks, self.regions = breaks, regions
+        self.offsets = regions * n
+        self._paths = np.arange(n)
+        nb = breaks.shape[0]
+        self._b0 = float(breaks[0]) if nb else 0.0
+        span = float(breaks[-1]) - self._b0 if nb else 0.0
+        # breaks cluster where curves cross; eight buckets per break leave
+        # most buckets with at most one
+        nbuckets = 8 * nb
+        # one bucket for zero span (one break) or a span too small to invert
+        inv = nbuckets / span if span > 0.0 else 0.0
+        self._inv = inv if np.isfinite(inv) else 0.0
+        self._top = float(nbuckets + 1)
+        home = self._bucket(breaks)
+        self._start = np.searchsorted(home, np.arange(nbuckets + 2), side="left")
+        width = int(np.bincount(home).max()) if nb else 0
+        self._table = np.full((width, nbuckets + 2), np.inf)
+        self._table[np.arange(nb) - self._start[home], home] = breaks
+
+    def _bucket(self, z: np.ndarray) -> np.ndarray:
+        v = z - self._b0
+        with np.errstate(over="ignore"):  # a ratio far above the span: clipped below
+            v *= self._inv
+        v += 1.0
+        np.clip(v, 0.0, self._top, out=v)
+        return v.astype(np.intp)
+
+    def count(self, z: np.ndarray) -> np.ndarray:
+        """Number of breaks <= z, elementwise."""
+        j = self._bucket(z)
+        c = self._start[j]
+        for row in self._table:
+            c += z >= row[j]
+        return c
+
+    def choose(self, z: np.ndarray) -> np.ndarray:
+        """Grid indices the policy picks for ratios z."""
+        return self.regions[self.count(z)]
+
+    def flat_index(self, z: np.ndarray) -> np.ndarray:
+        """``region * n + path`` for ratios z whose last axis runs over the paths."""
+        idx = self.offsets[self.count(z)]
+        idx += self._paths
+        return idx
 
 
 @dataclass
@@ -257,6 +317,7 @@ class _SnakeSolver:
         self.factors = np.ascontiguousarray(factors.transpose(2, 0, 1))
         self.nd = factors.shape[2]
         self.n = z0.shape[0]
+        self._flat_factors = self.factors.reshape(self.nd, -1)
         self._paths = np.arange(self.n)
         self.decisions = np.zeros((self.nd, self.n), dtype=np.int64)
         self.z = np.empty((self.nd + 1, self.n))
@@ -276,11 +337,19 @@ class _SnakeSolver:
         self._env: list = [None] * self.nd
         self._design: list = [None] * self.nd
         self._design_key = np.full(self.nd, -1, dtype=np.int64)
-        self._propagate(0)
+        self._propagate(0, self._paths)
 
-    def _propagate(self, start: int) -> None:
+    def _propagate(self, start: int, paths: np.ndarray) -> None:
+        """Roll the ratios of ``paths`` forward from step ``start``.
+
+        Called with every path at set-up and, after a refresh, with the paths
+        whose decision at ``start`` changed: every other path keeps its
+        decisions and ratios, so its products are unchanged.
+        """
+        z = self.z[start, paths]
         for s in range(start, self.nd):
-            self.z[s + 1] = self.z[s] * self.factors[s][self.decisions[s], self._paths]
+            z = z * self.factors[s][self.decisions[s, paths], paths]
+            self.z[s + 1, paths] = z
 
     def _stale(self, s: int) -> bool:
         fitted = self._fitted_at[s]
@@ -302,8 +371,7 @@ class _SnakeSolver:
             return
         zk = self.z[s][None, :] * self.factors[s]
         for t in range(s + 1, self.nd):
-            idx = _policy_lookup(*self._env[t], zk)
-            np.multiply(zk, self.factors[t][idx, self._paths[None, :]], out=zk)
+            zk *= self._flat_factors[t].take(self._env[t].flat_index(zk))
         u = utility_check(zk, self.cfg)
         key = int(self._dec_stamp[:s].max()) if s > 0 else 0
         if self._design_key[s] != key:
@@ -317,20 +385,21 @@ class _SnakeSolver:
             self.z_nodes[s] = nodes
             self._design_key[s] = key
         self.curves[s] = _loess_apply(self._design[s], u)
-        env = _envelope(self.z_nodes[s], self.curves[s])
+        breaks, regions = _envelope(self.z_nodes[s], self.curves[s])
         old = self._env[s]
         if old is None or not (
-            np.array_equal(env[0], old[0]) and np.array_equal(env[1], old[1])
+            np.array_equal(breaks, old.breaks) and np.array_equal(regions, old.regions)
         ):
-            self._env[s] = env
+            self._env[s] = _StepPolicy(breaks, regions, self.n)
             self._stamp += 1
             self._env_stamp[s] = self._stamp
-        new = _policy_lookup(*self._env[s], self.z[s])
-        if not np.array_equal(new, self.decisions[s]):
+        new = self._env[s].choose(self.z[s])
+        changed = np.flatnonzero(new != self.decisions[s])
+        if changed.size:
             self.decisions[s] = new
             self._stamp += 1
             self._dec_stamp[s] = self._stamp
-            self._propagate(s)
+            self._propagate(s, changed)
         self._fitted_at[s] = self._stamp
 
     def solve(self) -> None:

@@ -10,7 +10,8 @@ nested simulation:
   neighbours of the query point.  The fit is split into a design step
   (``_loess_geometry``: sort, windows, weights and moment sums for given
   training abscissae and query points) and an apply step (``_loess_apply``:
-  a batch of response rows on that design).  This is the package's only
+  a batch of response rows on that design, each window read as a contiguous
+  slice of the sorted rows).  This is the package's only
   LOESS; the dynamic-programming solver fits its expected-utility curves
   with the same two steps.
 * :func:`expected_inflation` — the cumulative-inflation cross-sectional
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ParameterError
 
@@ -109,11 +111,18 @@ class _LoessDesign:
     Splitting these from the response-side sums lets a caller re-fit the same
     design against fresh responses without redoing the sort, window search,
     tri-cube weights and normal-equation coefficients.
+
+    The neighbours of query i are the ``win`` training points
+    ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae and every
+    window is a contiguous run of the sorted sample, so the apply step sorts
+    each response row once and reads each window as a slice.
     """
 
     n_queries: int
     mean_only: bool = False
-    oidx: np.ndarray | None = None
+    order: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    win: int = 0
     w: np.ndarray | None = None
     wx: np.ndarray | None = None
     wx2: np.ndarray | None = None
@@ -157,8 +166,7 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     else:
         lo = np.zeros(queries.shape, dtype=int)
         win = n
-    idx = lo[:, None] + np.arange(win)
-    xw = xs[idx]
+    xw = sliding_window_view(xs, win)[lo]
     dist = np.abs(xw - queries[:, None])
     dk = dist.max(axis=1)
 
@@ -181,7 +189,9 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     det1 = s0 * s2 - s1 * s1
     design = _LoessDesign(
         n_queries=queries.shape[0],
-        oidx=order[idx],
+        order=order,
+        lo=lo,
+        win=win,
         w=w,
         wx=wx,
         nearest=np.argmin(dist, axis=1),
@@ -218,7 +228,10 @@ def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
     """
     if design.mean_only:
         return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
-    yw = responses[:, design.oidx]
+    # einsum picks its summation loop from the operands' strides, so the
+    # layout of yw fixes the last bits of the fits: the response rows stay
+    # innermost in memory, and a batch's windows are summed term by term
+    yw = sliding_window_view(responses[:, design.order], design.win, axis=1)[:, design.lo]
     t0 = np.einsum("mw,kmw->km", design.w, yw)
     t1 = np.einsum("mw,kmw->km", design.wx, yw)
 
@@ -391,7 +404,6 @@ class InflationEstimator:
     """
 
     T: int
-    floor: float
     rates: np.ndarray   # (n_paths, T+1)
     cum: np.ndarray     # (n_paths, T+1)
 
@@ -404,7 +416,7 @@ class InflationEstimator:
         for t in range(T):
             rates[:, t] = _fit_single_year(cum, t, T, floor)[2]
         rates[:, T] = rates[:, T - 1]
-        return cls(T=T, floor=floor, rates=rates, cum=cum)
+        return cls(T=T, rates=rates, cum=cum)
 
     def annual_rate(self, t: int) -> np.ndarray:
         if not 0 <= t <= self.T:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import flat_params
 from pensionsim import (
@@ -23,7 +25,8 @@ from pensionsim import (
     utility_check,
     z_step,
 )
-from pensionsim.dp import _policy_lookup
+from pensionsim import dp
+from pensionsim.dp import _SnakeSolver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.market import AnnuitySpec
 
@@ -172,6 +175,39 @@ def test_solver_is_deterministic(small_inputs):
         assert np.array_equal(a, b)
 
 
+class _FullRecomputeCheck(_SnakeSolver):
+    """Solver that compares its ratios with a full rollout after every refresh."""
+
+    refreshes = 0
+    partial = 0
+
+    def _refresh(self, s):
+        before = self.decisions[s].copy()
+        super()._refresh(s)
+        full = np.empty_like(self.z)
+        full[0] = self.z[0]
+        for t in range(self.nd):
+            full[t + 1] = full[t] * self.factors[t][self.decisions[t], self._paths]
+        assert np.array_equal(self.z, full)
+        changed = np.count_nonzero(self.decisions[s] != before)
+        _FullRecomputeCheck.refreshes += 1
+        _FullRecomputeCheck.partial += 0 < changed < self.n
+
+
+def test_changed_path_propagation_matches_full_rollout(small_inputs, monkeypatch):
+    frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
+    want = solve_policy(small_inputs, frame, tau=0)
+    monkeypatch.setattr(dp, "_SnakeSolver", _FullRecomputeCheck)
+    monkeypatch.setattr(_FullRecomputeCheck, "refreshes", 0)
+    monkeypatch.setattr(_FullRecomputeCheck, "partial", 0)
+    got = solve_policy(small_inputs, frame, tau=0)
+    # the check ran, and on refreshes that moved only some paths' decisions
+    assert _FullRecomputeCheck.refreshes > 0
+    assert _FullRecomputeCheck.partial > 0
+    assert np.array_equal(got.decisions, want.decisions)
+    assert np.array_equal(got.z_path, want.z_path)
+
+
 def test_solve_policy_validation(small_inputs):
     frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
     with pytest.raises(ParameterError):
@@ -234,14 +270,53 @@ def test_policy_lookup_interpolates_between_nodes(small_inputs):
 
 @pytest.mark.parametrize("nb", [0, 1, 3, 8, 9, 15])
 def test_step_policy_lookup_counts_breaks_at_or_below(nb):
-    # the compare path (up to 8 breaks) and the binary search agree with a
-    # direct count of the breaks <= z, ratios sitting exactly on a break included
+    # uniformly drawn breaks and ratios, ratios sitting exactly on a break included
     rng = np.random.default_rng(nb)
     breaks = np.sort(rng.uniform(0.5, 3.0, nb))
     regions = rng.integers(0, 6, nb + 1)
     z = np.concatenate([rng.uniform(0.0, 3.5, 400 - nb), breaks]).reshape(2, -1)
     want = regions[(breaks[None, None, :] <= z[:, :, None]).sum(axis=2)]
-    assert np.array_equal(_policy_lookup(breaks, regions, z), want)
+    assert np.array_equal(_StepPolicy(breaks, regions, 200).choose(z), want)
+
+
+@st.composite
+def _break_sets(draw):
+    """Up to 30 strictly increasing breaks, some clustered a few ulps apart."""
+    points = []
+    for centre in draw(st.lists(st.floats(0.05, 5.0), max_size=6)):
+        gap = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.3]))
+        p = centre
+        for i in range(draw(st.integers(1, 8))):
+            points.append(p)
+            # gap 0: consecutive floats, all in one bucket
+            p = np.nextafter(p, np.inf) if gap == 0.0 else centre + (i + 1) * gap
+    return np.unique(points)[:30]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_break_sets(), st.lists(st.floats(0.0, 6.0), max_size=20))
+@example(np.empty(0), [1.0])
+@example(np.array([1.5]), [1.5, 0.2, 9.0])
+def test_step_policy_count_matches_direct_count(breaks, drawn):
+    # ratios on every break and on both neighbouring floats, far below the
+    # first break and far above the last, plus drawn ones
+    z = np.concatenate([
+        breaks,
+        np.nextafter(breaks, -np.inf),
+        np.nextafter(breaks, np.inf),
+        [1e-300, 1e-9, 1e9, 1e300],
+        drawn,
+    ])
+    want = (breaks[None, :] <= z[:, None]).sum(axis=1)
+    n = z.shape[0]
+    regions = (np.arange(breaks.shape[0] + 1) * 7) % 6
+    policy = _StepPolicy(breaks, regions, n)
+    assert np.array_equal(policy.count(z), want)
+    rows = np.stack([z, z[::-1]])
+    assert np.array_equal(
+        policy.flat_index(rows),
+        np.stack([regions[want], regions[want[::-1]]]) * n + np.arange(n),
+    )
 
 
 def test_export_policy_csv_round_trips(small_inputs):

@@ -18,6 +18,7 @@ from pensionsim import (
     tricube_weight,
 )
 from pensionsim.errors import DomainError, EngineError, ParameterError
+from pensionsim.lsmc import _loess_apply, _loess_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,33 @@ def test_loess_all_zero_weights_return_nearest_lower_value():
     assert loess_eval(model, 1.5) == 20.0
     assert loess_eval(model, 0.5) == 10.0
     assert loess_eval(model, 2.5) == 30.0
+
+
+@pytest.mark.parametrize("d", [0.1, 1.0])  # k = 4 < n and k = n
+@pytest.mark.parametrize("degree", [1, 2])
+def test_loess_apply_rows_match_single_fits(d, degree):
+    # tied abscissae a quarter apart; a query midway between two tied values
+    # puts all k = 4 neighbours at the cutoff, so its fit is the nearest value
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 12, 40) / 4.0
+    ys = rng.normal(size=(5, 40))
+    q = np.array([-0.3, 0.0, 0.125, 0.4, 1.375, 1.5, 2.9, 3.2])
+    design = _loess_geometry(x, q, d, degree)
+    assert design.none_mask.any() == (d < 1.0)
+    fits = _loess_apply(design, ys)
+    for i, y in enumerate(ys):
+        # a row's fit does not depend on the rows batched with it
+        assert np.array_equal(_loess_apply(design, ys[[i, i]])[0], fits[i])
+        # einsum sums a lone row's window in another order than a batch's,
+        # so the single fit agrees to rounding; copied values agree exactly
+        single = loess_batch(LoessModel(x, y, d=d, degree=degree), q)
+        np.testing.assert_allclose(single, fits[i], rtol=1e-12, atol=1e-12)
+        for j in np.flatnonzero(design.none_mask):
+            # the value of a point at the nearest x, the lower one on ties
+            dist = np.abs(x - q[j])
+            nearest = x == x[dist == dist.min()].min()
+            assert single[j] == fits[i, j]
+            assert fits[i, j] in y[nearest]
 
 
 def test_loess_duplicate_cluster_falls_back_to_mean():

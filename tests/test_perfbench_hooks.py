@@ -1,0 +1,54 @@
+"""The benchmark in ``perfbench/`` still runs against the package.
+
+``perfbench/traced.py`` patches names in ``pensionsim`` for its traced and
+check runs; a rename there would otherwise break the benchmark silently.
+These tests only read ``perfbench/``.
+"""
+
+import os
+import subprocess
+import sys
+
+import pensionsim
+import pensionsim.cli as cli
+import pensionsim.dp as dp
+import pensionsim.engine as engine
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def test_oracle_self_test_passes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--self-test"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_layer_hooks_patch_and_restore_the_originals(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import traced
+
+    owners = [cli, dp, engine] + [
+        getattr(pensionsim, name)
+        for name in (
+            "CombinationStrategy", "CumulativeTargetStrategy", "IndividualTargetStrategy",
+            "InflationEstimator", "ReplacementEstimators", "SimulationInputs",
+            "StaticMixStrategy", "TargetFrame",
+        )
+    ]
+    before = [dict(vars(owner)) for owner in owners]
+    with traced.hooks(traced.Tracer("w", "r")):
+        patched = [
+            (owner, name)
+            for owner, names in zip(owners, before)
+            for name, value in names.items()
+            if vars(owner)[name] is not value
+        ]
+    # every owner has at least one name replaced while the hooks are on
+    assert {id(owner) for owner, _ in patched} == {id(owner) for owner in owners}
+    for owner, names in zip(owners, before):
+        assert set(vars(owner)) == set(names)
+        for name, value in names.items():
+            assert vars(owner)[name] is value, (owner, name)
