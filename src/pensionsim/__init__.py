@@ -8,12 +8,9 @@ outcomes.
 
 from .career import (
     CareerSchedule,
-    WealthLedger,
-    contribution,
     contribution_path,
     default_schedule,
     franchise_path,
-    ledger_step,
     salary_path,
     schedule_from_csv,
 )
@@ -21,7 +18,6 @@ from .dp import (
     CombinationStrategy,
     DpConfig,
     PolicyModel,
-    apply_policy,
     export_policy_csv,
     solve_policy,
     utility_check,
@@ -51,9 +47,7 @@ from .lsmc import (
 from .market import (
     AnnuitySpec,
     MarketValueSeries,
-    market_value_factor,
     market_value_series,
-    matching_return,
     post_retirement_factor,
 )
 from .metrics import (
@@ -86,7 +80,6 @@ from .strategies import (
     TargetParams,
     cumulative_step,
     cumulative_target,
-    individual_step,
     optimize_static_mix,
     static_step,
     target_wealth_factor,

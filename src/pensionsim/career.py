@@ -1,14 +1,11 @@
-"""Salary careers, pension contributions and the tranche wealth ledger.
+"""Salary careers and pension contributions.
 
 The default career follows a Dutch-style table: salary grows by an
 age-dependent career rate on top of wage inflation, and a contribution
 rate (rising with age) is applied to the salary above a franchise.  The
 rate listed for an age applies when the member arrives at that age, so
-the rate at the entry age is never used.
-
-Wealth is tracked per contribution tranche: every year's contribution
-opens a new tranche, and each tranche can later be managed (and switched
-to the matching portfolio) independently.
+the rate at the entry age is never used.  All paths are laid out at once:
+every function takes wage-inflation panels of shape (..., T + 1).
 """
 
 from __future__ import annotations
@@ -18,16 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ScheduleError, SchemaError
+from .errors import ParameterError, ScheduleError, SchemaError
 
 __all__ = [
     "CareerSchedule",
-    "WealthLedger",
-    "contribution",
     "contribution_path",
     "default_schedule",
     "franchise_path",
-    "ledger_step",
     "salary_path",
     "schedule_from_csv",
 ]
@@ -189,88 +183,3 @@ def contribution_path(w: np.ndarray, schedule: CareerSchedule) -> np.ndarray:
     rates = np.asarray(schedule.contribution_rate)
     base = salary_path(w, schedule) - franchise_path(w, schedule)
     return rates * np.maximum(base, 0.0)
-
-
-def contribution(w: np.ndarray, t: int, schedule: CareerSchedule) -> float:
-    """Contribution in year ``t`` on a single wage-inflation path."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise ScheduleError("contribution expects a single wage path")
-    if not 0 <= t < schedule.n_years:
-        raise ScheduleError(f"t={t} outside schedule years 0..{schedule.n_years - 1}")
-    return float(contribution_path(w, schedule)[t])
-
-
-@dataclass
-class WealthLedger:
-    """Per-tranche wealth on one path at one point in time.
-
-    ``tau[i]`` is the birth year of tranche ``i``, ``amounts[i]`` its
-    original contribution, ``wealth[i]`` its current value,
-    ``allocation[i]`` the equity weight chosen for the coming year and
-    ``absorbed[i]`` whether the tranche has permanently switched to the
-    matching portfolio.
-    """
-
-    year: int
-    tau: np.ndarray
-    amounts: np.ndarray
-    wealth: np.ndarray
-    allocation: np.ndarray
-    absorbed: np.ndarray
-
-    @classmethod
-    def open(cls, first_contribution: float) -> "WealthLedger":
-        """Ledger at t = 0 holding the first contribution, fully in equity."""
-        c0 = float(first_contribution)
-        if not np.isfinite(c0) or c0 < 0:
-            raise ContractError(f"first contribution must be >= 0, got {c0}")
-        return cls(
-            year=0,
-            tau=np.array([0]),
-            amounts=np.array([c0]),
-            wealth=np.array([c0]),
-            allocation=np.array([1.0]),
-            absorbed=np.array([False]),
-        )
-
-    @property
-    def total(self) -> float:
-        return float(self.wealth.sum())
-
-    def aggregate_allocation(self) -> float:
-        """Wealth-weighted equity allocation (1.0 for an empty/zero ledger)."""
-        total = self.wealth.sum()
-        if total <= 0:
-            return 1.0
-        return float(self.wealth @ self.allocation / total)
-
-
-def ledger_step(
-    ledger: WealthLedger,
-    x_t: float,
-    m_t: float,
-    new_contribution: float,
-) -> WealthLedger:
-    """Grow every tranche one year at its stored allocation, then add a tranche.
-
-    Returns the ledger at ``ledger.year + 1`` with each tranche grown by
-    ``alpha * (1 + x_t) + (1 - alpha) * (1 + m_t)`` and the new
-    contribution opened as a fresh all-equity tranche.
-    """
-    alpha = np.asarray(ledger.allocation, dtype=float)
-    if np.any((alpha < 0.0) | (alpha > 1.0)):
-        raise ContractError("allocations must lie in [0, 1]")
-    c_new = float(new_contribution)
-    if not np.isfinite(c_new) or c_new < 0:
-        raise ContractError(f"new contribution must be >= 0, got {c_new}")
-    growth = alpha * (1.0 + x_t) + (1.0 - alpha) * (1.0 + m_t)
-    year = ledger.year + 1
-    return WealthLedger(
-        year=year,
-        tau=np.append(ledger.tau, year),
-        amounts=np.append(ledger.amounts, c_new),
-        wealth=np.append(ledger.wealth * growth, c_new),
-        allocation=np.append(alpha, 1.0),
-        absorbed=np.append(ledger.absorbed, False),
-    )

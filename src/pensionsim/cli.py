@@ -264,61 +264,52 @@ def _target_params(cfg: RunConfig, r: float) -> TargetParams:
     )
 
 
-def _strategy_from_config(cfg: RunConfig, threads: int):
-    """Strategy selected by strategy.kind plus its evaluation parameters."""
+def _strategy(cfg: RunConfig, kind: str, value, r, label: str, threads: int):
+    """Strategy of one ``kind`` plus the target parameters its estimators use.
+
+    ``value`` is the mix of ``static`` and the final equity fraction of
+    ``glide``; ``r`` is the required real return of the target rules.  The
+    rules without a target are evaluated at ``evaluation.estimation_r``.
+    """
     v = cfg.values
-    kind = v["strategy.kind"]
-    params = _target_params(cfg, v["strategy.r"])
-    est_params = _target_params(cfg, v["evaluation.estimation_r"])
     ages = tuple(range(25, 25 + v["annuity.T"] + 1))
-    if kind == "static":
-        return StaticMixStrategy(mix=v["strategy.mix"], label="static"), est_params
-    if kind == "glide":
-        glide = GlidePath.linear_to(v["strategy.glide_end"], ages=ages)
-        return StaticMixStrategy(mix=glide, label="glide"), est_params
-    if kind == "bogle":
-        return StaticMixStrategy(mix=GlidePath.bogle(ages=ages), label="bogle"), est_params
+    if kind in ("static", "glide", "bogle"):
+        if kind == "glide":
+            value = GlidePath.linear_to(value, ages=ages)
+        elif kind == "bogle":
+            value = GlidePath.bogle(ages=ages)
+        est_params = _target_params(cfg, v["evaluation.estimation_r"])
+        return StaticMixStrategy(mix=value, label=label), est_params
+    params = _target_params(cfg, r)
     if kind == "cumulative":
-        return CumulativeTargetStrategy(params), params
+        return CumulativeTargetStrategy(params, label=label), params
     if kind == "individual":
-        return IndividualTargetStrategy(params), params
+        return IndividualTargetStrategy(params, label=label), params
+    dp_cfg = _dp_config(cfg)
     return (
-        CombinationStrategy(params, cfg=_dp_config(cfg), mode=v["dp.mode"], threads=threads),
+        CombinationStrategy(params, cfg=dp_cfg, mode=v["dp.mode"], label=label, threads=threads),
         params,
     )
 
 
-def _report_strategy(token: str, cfg: RunConfig, inputs: SimulationInputs, threads: int):
-    """Strategy instance plus estimator parameters for one report token."""
-    v = cfg.values
-    est_params = _target_params(cfg, v["evaluation.estimation_r"])
-    ages = tuple(range(25, 25 + inputs.T + 1))
+def _report_spec(token: str, cfg: RunConfig) -> tuple:
+    """``(kind, value, r, label)`` for one ``report.strategies`` token.
+
+    ``static_opt`` gets its mix from the prepared inputs, so its value is
+    None here.
+    """
     if token == "static_opt":
-        step = v["report.static_grid_step"]
-        grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
-        mix = optimize_static_mix(inputs, grid, target_rr=v["strategy.target_rr"])
-        return StaticMixStrategy(mix=mix, label="static_opt"), est_params
-    if token.startswith("static_"):
-        pct = float(token[len("static_") :])
-        return StaticMixStrategy(mix=pct / 100.0, label=token), est_params
-    if token.startswith("glide_"):
-        end = float(token[len("glide_") :]) / 100.0
-        glide = GlidePath.linear_to(end, ages=ages)
-        return StaticMixStrategy(mix=glide, label=token), est_params
-    if token == "bogle":
-        return StaticMixStrategy(mix=GlidePath.bogle(ages=ages), label="bogle"), est_params
-    if token == "cumulative":
-        params = _target_params(cfg, v["report.cumulative_r"])
-        return CumulativeTargetStrategy(params), params
-    if token == "individual":
-        params = _target_params(cfg, v["report.individual_r"])
-        return IndividualTargetStrategy(params), params
-    if token == "combination":
-        params = _target_params(cfg, v["report.combination_r"])
-        return (
-            CombinationStrategy(params, cfg=_dp_config(cfg), mode=v["dp.mode"], threads=threads),
-            params,
-        )
+        return "static", None, None, token
+    if token in ("bogle", "cumulative", "individual", "combination"):
+        return token, None, cfg.values.get(f"report.{token}_r"), token
+    kind, _, pct = token.partition("_")
+    if kind in ("static", "glide"):
+        try:
+            value = float(pct) / 100.0
+        except ValueError:
+            value = np.nan
+        if np.isfinite(value) and (kind == "glide" or 0.0 <= value <= 1.0):
+            return kind, value, None, token
     raise ConfigError(f"unknown report strategy token {token!r}")
 
 
@@ -369,7 +360,9 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             outputs.write_with("moments.csv", summarize(scenarios).write_csv)
         elif subcommand == "evaluate":
             inputs = _build_inputs(cfg, seed, threads)
-            strategy, est_params = _strategy_from_config(cfg, threads)
+            kind = v["strategy.kind"]
+            value = {"static": v["strategy.mix"], "glide": v["strategy.glide_end"]}.get(kind)
+            strategy, est_params = _strategy(cfg, kind, value, v["strategy.r"], kind, threads)
             report = evaluate_strategy(
                 inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
             )
@@ -411,13 +404,18 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             text = "family,param,shortfall,cvar10\n" + "".join(r.csv_row() + "\n" for r in rows)
             outputs.write("frontier.csv", text)
         else:  # report
-            inputs = _build_inputs(cfg, seed, threads)
             tokens = [tok.strip() for tok in v["report.strategies"].split(",") if tok.strip()]
             if not tokens:
                 raise ConfigError("report.strategies must list at least one strategy")
+            specs = [_report_spec(token, cfg) for token in tokens]
+            inputs = _build_inputs(cfg, seed, threads)
             lines = [",".join(REPORT_COLUMNS)]
-            for token in tokens:
-                strategy, est_params = _report_strategy(token, cfg, inputs, threads)
+            for kind, value, r, label in specs:
+                if label == "static_opt":
+                    step = v["report.static_grid_step"]
+                    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+                    value = optimize_static_mix(inputs, grid, target_rr=v["strategy.target_rr"])
+                strategy, est_params = _strategy(cfg, kind, value, r, label, threads)
                 report = evaluate_strategy(
                     inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
                 )

@@ -41,13 +41,12 @@ import numpy as np
 from .engine import SimulationInputs
 from .errors import DomainError, ParameterError
 from .lsmc import _loess_apply, _loess_geometry
-from .strategies import StrategyOutcome, TargetFrame, TargetParams
+from .strategies import StrategyOutcome, TargetFrame, TargetParams, _run_tranches
 
 __all__ = [
     "CombinationStrategy",
     "DpConfig",
     "PolicyModel",
-    "apply_policy",
     "export_policy_csv",
     "solve_policy",
     "utility_check",
@@ -458,25 +457,6 @@ def solve_policy(
     )
 
 
-def apply_policy(policy: PolicyModel, ledger, targets, t: int):
-    """Per-tranche allocations from the policy plus the aggregate fraction.
-
-    ``targets`` holds one positive wealth target per ledger tranche; the
-    policy is evaluated at each tranche's ratio Z = wealth / target.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != ledger.wealth.shape:
-        raise ParameterError(
-            f"need one target per tranche, got {targets.shape} for {ledger.wealth.shape}"
-        )
-    if np.any(targets <= 0.0):
-        raise DomainError("tranche targets must be positive")
-    alphas = policy.alpha_at(t, ledger.wealth / targets)
-    total = ledger.wealth.sum()
-    aggregate = float(ledger.wealth @ alphas / total) if total > 0 else float(alphas[-1])
-    return alphas, aggregate
-
-
 @dataclass(frozen=True)
 class CombinationStrategy:
     """Applies dynamic-programming policies to every contribution tranche.
@@ -484,6 +464,10 @@ class CombinationStrategy:
     ``per-contribution`` mode re-solves the program for each tranche and
     uses its in-sample decisions; ``shared`` mode solves once for the first
     tranche and evaluates that policy's curves at every tranche's ratio.
+    Either way the run fills the whole ``tranche_alpha`` panel first and then
+    grows the tranches along it with the tranche kernel
+    :func:`~pensionsim.strategies._run_tranches`, the one the individual
+    rule uses.
 
     ``threads`` fans the independent per-contribution tranche solves out
     over a thread pool, largest tranche first.  Each solve writes only its
@@ -505,7 +489,7 @@ class CombinationStrategy:
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
         T, n = inputs.T, inputs.n_paths
-        x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
+        x, m = inputs.scenarios.x, inputs.market.m
         factors = _step_factors(inputs, frame, self.cfg)
         grid = np.asarray(self.cfg.grid, dtype=float)
 
@@ -530,21 +514,6 @@ class CombinationStrategy:
                     tranche_alpha[:, t, tau] = a
                     z = z_step(z, a, x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
         tranche_alpha[:, T, :] = 0.0
-
-        tranche_wealth = np.zeros((n, T + 1))
-        wealth = np.empty((n, T + 1))
-        alpha = np.empty((n, T + 1))
-        for t in range(T + 1):
-            if t > 0:
-                live = tranche_alpha[:, t - 1, :t]
-                tranche_wealth[:, :t] *= live * (1.0 + x[:, t, None]) + (1.0 - live) * (
-                    1.0 + m[:, t, None]
-                )
-            tranche_wealth[:, t] = c[:, t]
-            wealth[:, t] = tranche_wealth[:, : t + 1].sum(axis=1)
-            weighted = (tranche_wealth[:, : t + 1] * tranche_alpha[:, t, : t + 1]).sum(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
-        return StrategyOutcome(
-            label=self.label, wealth=wealth, alpha=alpha, tranche_alpha=tranche_alpha
+        return _run_tranches(
+            self.label, inputs, tranche_alpha, lambda t, live: tranche_alpha[:, t, : t + 1]
         )

@@ -23,9 +23,7 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "AnnuitySpec",
     "MarketValueSeries",
-    "market_value_factor",
     "market_value_series",
-    "matching_return",
     "post_retirement_factor",
 ]
 
@@ -65,19 +63,6 @@ def _factor_at(scenarios, t: int, spec: AnnuitySpec, infl_rate: np.ndarray) -> n
     return terms.sum(axis=1) + np.count_nonzero(~positive)
 
 
-def market_value_factor(scenarios, path: int, t: int, spec: AnnuitySpec, infl) -> float:
-    """Market value factor M_t on one path.
-
-    ``infl`` is the fitted :class:`~pensionsim.lsmc.InflationEstimator`; the
-    yield curve supplies maturities T-t .. T+N-1-t via pillar interpolation
-    and flat extrapolation.
-    """
-    if not 0 <= t <= spec.T:
-        raise DomainError(f"t={t} outside 0..{spec.T}")
-    rate = infl.annual_rate(t)
-    return float(_factor_at(scenarios, t, spec, rate)[path])
-
-
 @dataclass
 class MarketValueSeries:
     """M_t and m_t per (path, year).
@@ -88,17 +73,6 @@ class MarketValueSeries:
 
     M: np.ndarray
     m: np.ndarray
-    T: int
-
-    def matching_return(self, t: int) -> np.ndarray:
-        if not 1 <= t <= self.T:
-            raise DomainError(f"matching return defined for 1 <= t <= {self.T}, got {t}")
-        return self.m[:, t]
-
-
-def matching_return(series: MarketValueSeries, t: int) -> np.ndarray:
-    """Return of the matching portfolio over (t-1, t]: M_t / M_{t-1} - 1."""
-    return series.matching_return(t)
 
 
 def market_value_series(scenarios, spec: AnnuitySpec, infl) -> MarketValueSeries:
@@ -116,4 +90,4 @@ def market_value_series(scenarios, spec: AnnuitySpec, infl) -> MarketValueSeries
     m = np.empty_like(M)
     m[:, 0] = np.nan
     m[:, 1:] = M[:, 1:] / M[:, :-1] - 1.0
-    return MarketValueSeries(M=M, m=m, T=spec.T)
+    return MarketValueSeries(M=M, m=m)

@@ -10,6 +10,13 @@ real rate r on top of (realized, then expected) inflation:
 The cumulative strategy tracks one aggregate target; the individual
 strategy tracks one target per contribution tranche, switching a tranche
 into the matching portfolio permanently once its target has been reached.
+
+Wealth grows by one rule, alpha (1 + x) + (1 - alpha) (1 + m) plus the
+year's contribution, in one of two shapes.  ``_accumulate`` keeps one pot
+per path (static mixes, glide paths, the cumulative rule); ``_run_tranches``
+keeps one pot per contribution tranche along a ``tranche_alpha`` panel (the
+individual rule and the DP combination strategy).  Each runner only says how
+alpha is chosen.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .career import WealthLedger
 from .engine import SimulationInputs
 from .errors import DomainError, ParameterError, ScheduleError
 from .market import post_retirement_factor
@@ -33,7 +39,6 @@ __all__ = [
     "TargetParams",
     "cumulative_step",
     "cumulative_target",
-    "individual_step",
     "optimize_static_mix",
     "static_step",
     "target_wealth_factor",
@@ -243,30 +248,6 @@ def cumulative_step(wealth, target, alpha_prev, x, m, t: int):
     return np.where(wealth >= target, 0.0, risky / total)
 
 
-def individual_step(ledger: WealthLedger, targets, t: int):
-    """Advance the per-tranche rule: absorb tranches at/above their target.
-
-    Returns the updated ledger (new allocation and absorption flags) and
-    the wealth-weighted aggregate equity fraction.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape != ledger.wealth.shape:
-        raise ParameterError(
-            f"need one target per tranche, got {targets.shape} for {ledger.wealth.shape}"
-        )
-    absorbed = ledger.absorbed | (ledger.wealth >= targets)
-    allocation = np.where(absorbed, 0.0, 1.0)
-    updated = WealthLedger(
-        year=ledger.year,
-        tau=ledger.tau,
-        amounts=ledger.amounts,
-        wealth=ledger.wealth,
-        allocation=allocation,
-        absorbed=absorbed,
-    )
-    return updated, updated.aggregate_allocation()
-
-
 @dataclass
 class StrategyOutcome:
     """Wealth and allocation panels produced by one strategy run.
@@ -291,6 +272,53 @@ def _grown(wealth, alpha, x_t, m_t):
     return wealth * (alpha * (1.0 + x_t) + (1.0 - alpha) * (1.0 + m_t))
 
 
+def _accumulate(inputs: SimulationInputs, decide):
+    """One pot per path: ``(wealth, alpha)`` panels of shape (n_paths, T + 1).
+
+    ``decide(t, wealth_t, alpha_prev)`` returns alpha_t from the decision-time
+    wealth (``alpha_prev`` is None at t = 0).
+    """
+    T, n = inputs.T, inputs.n_paths
+    x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
+    wealth = np.empty((n, T + 1))
+    alpha = np.empty((n, T + 1))
+    wealth[:, 0] = c[:, 0]
+    alpha[:, 0] = decide(0, wealth[:, 0], None)
+    for t in range(1, T + 1):
+        wealth[:, t] = _grown(wealth[:, t - 1], alpha[:, t - 1], x[:, t], m[:, t]) + c[:, t]
+        alpha[:, t] = decide(t, wealth[:, t], alpha[:, t - 1])
+    return wealth, alpha
+
+
+def _run_tranches(label: str, inputs: SimulationInputs, tranche_alpha, decide) -> StrategyOutcome:
+    """One pot per contribution tranche, grown along ``tranche_alpha``.
+
+    ``tranche_alpha`` is the (n_paths, T + 1, T + 1) panel of the outcome.
+    Row t is set to ``decide(t, live)`` before it is read, where ``live``
+    holds the decision-time wealth of the tranches born up to t.  The
+    aggregate alpha is the wealth-weighted tranche allocation, 0 where the
+    path holds no wealth.
+    """
+    T, n = inputs.T, inputs.n_paths
+    x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
+    tranche_wealth = np.zeros((n, T + 1))
+    wealth = np.empty((n, T + 1))
+    alpha = np.empty((n, T + 1))
+    for t in range(T + 1):
+        if t > 0:
+            tranche_wealth[:, :t] = _grown(
+                tranche_wealth[:, :t], tranche_alpha[:, t - 1, :t], x[:, t, None], m[:, t, None]
+            )
+        tranche_wealth[:, t] = c[:, t]
+        live = tranche_wealth[:, : t + 1]
+        tranche_alpha[:, t, : t + 1] = decide(t, live)
+        wealth[:, t] = live.sum(axis=1)
+        weighted = (live * tranche_alpha[:, t, : t + 1]).sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
+    return StrategyOutcome(label=label, wealth=wealth, alpha=alpha, tranche_alpha=tranche_alpha)
+
+
 @dataclass(frozen=True)
 class StaticMixStrategy:
     """Annual rebalancing to a constant mix or a deterministic glide path."""
@@ -308,16 +336,8 @@ class StaticMixStrategy:
             object.__setattr__(self, "label", name)
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
-        T, n = inputs.T, inputs.n_paths
-        x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
         ages = inputs.schedule.ages
-        wealth = np.empty((n, T + 1))
-        alpha = np.empty((n, T + 1))
-        wealth[:, 0] = c[:, 0]
-        alpha[:, 0] = static_step(self.mix, ages[0])
-        for t in range(1, T + 1):
-            wealth[:, t] = _grown(wealth[:, t - 1], alpha[:, t - 1], x[:, t], m[:, t]) + c[:, t]
-            alpha[:, t] = static_step(self.mix, ages[t])
+        wealth, alpha = _accumulate(inputs, lambda t, w, a: static_step(self.mix, ages[t]))
         return StrategyOutcome(label=self.label, wealth=wealth, alpha=alpha)
 
 
@@ -329,18 +349,13 @@ class CumulativeTargetStrategy:
     label: str = "cumulative"
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
-        frame = TargetFrame.build(inputs, self.params)
-        T, n = inputs.T, inputs.n_paths
-        x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
-        wealth = np.empty((n, T + 1))
-        alpha = np.empty((n, T + 1))
-        wealth[:, 0] = c[:, 0]
-        alpha[:, 0] = cumulative_step(wealth[:, 0], frame.target_cum[:, 0], None, None, None, 0)
-        for t in range(1, T + 1):
-            wealth[:, t] = _grown(wealth[:, t - 1], alpha[:, t - 1], x[:, t], m[:, t]) + c[:, t]
-            alpha[:, t] = cumulative_step(
-                wealth[:, t], frame.target_cum[:, t], alpha[:, t - 1], x[:, t], m[:, t], t
-            )
+        target = TargetFrame.build(inputs, self.params).target_cum
+        x, m = inputs.scenarios.x, inputs.market.m
+
+        def decide(t, wealth_t, alpha_prev):
+            return cumulative_step(wealth_t, target[:, t], alpha_prev, x[:, t], m[:, t], t)
+
+        wealth, alpha = _accumulate(inputs, decide)
         return StrategyOutcome(label=self.label, wealth=wealth, alpha=alpha)
 
 
@@ -354,28 +369,14 @@ class IndividualTargetStrategy:
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
         T, n = inputs.T, inputs.n_paths
-        x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
-        tranche_wealth = np.zeros((n, T + 1))
         absorbed = np.zeros((n, T + 1), dtype=bool)
+
+        def decide(t, live):
+            absorbed[:, : t + 1] |= live >= frame.tranche_targets(t)
+            return np.where(absorbed[:, : t + 1], 0.0, 1.0)
+
         tranche_alpha = np.full((n, T + 1, T + 1), np.nan)
-        wealth = np.empty((n, T + 1))
-        alpha = np.empty((n, T + 1))
-        for t in range(T + 1):
-            if t > 0:
-                live = tranche_alpha[:, t - 1, :t]
-                tranche_wealth[:, :t] = _grown(
-                    tranche_wealth[:, :t], live, x[:, t, None], m[:, t, None]
-                )
-            tranche_wealth[:, t] = c[:, t]
-            absorbed[:, : t + 1] |= tranche_wealth[:, : t + 1] >= frame.tranche_targets(t)
-            tranche_alpha[:, t, : t + 1] = np.where(absorbed[:, : t + 1], 0.0, 1.0)
-            wealth[:, t] = tranche_wealth[:, : t + 1].sum(axis=1)
-            weighted = (tranche_wealth[:, : t + 1] * tranche_alpha[:, t, : t + 1]).sum(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 1.0)
-        return StrategyOutcome(
-            label=self.label, wealth=wealth, alpha=alpha, tranche_alpha=tranche_alpha
-        )
+        return _run_tranches(self.label, inputs, tranche_alpha, decide)
 
 
 def optimize_static_mix(inputs: SimulationInputs, grid, target_rr: float = 0.70) -> float:

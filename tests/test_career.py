@@ -1,4 +1,4 @@
-"""Salary path, contributions and the per-tranche wealth ledger."""
+"""Salary path, franchise, contributions and career schedules."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,13 @@ from dataclasses import replace
 
 from pensionsim import (
     CareerSchedule,
-    WealthLedger,
-    contribution,
     contribution_path,
     default_schedule,
     franchise_path,
-    ledger_step,
     salary_path,
     schedule_from_csv,
 )
-from pensionsim.errors import ContractError, ScheduleError, SchemaError
+from pensionsim.errors import ScheduleError, SchemaError
 
 # Reference career table in year-0 currency (ages 25..66).
 REFERENCE_SALARY = np.array([
@@ -78,7 +75,6 @@ def test_contribution_examples():
     c = contribution_path(ZERO_W, default_schedule())
     np.testing.assert_allclose(c[0], 0.078 * (29403.0 - 13123.0), rtol=1e-14)
     assert abs(c[15] - 3669.88) < 0.5  # age 40
-    assert contribution(ZERO_W, 15, default_schedule()) == c[15]
 
 
 def test_contribution_floors_at_zero():
@@ -154,64 +150,3 @@ def test_schedule_validation():
         CareerSchedule(
             ages=(25, 26), career_rate=(0.0, 0.0), contribution_rate=(0.1, 1.5)
         )
-
-
-def test_ledger_open_and_trivial_growth():
-    led = WealthLedger.open(100.0)
-    assert led.total == 100.0
-    assert led.aggregate_allocation() == 1.0
-
-    grown = ledger_step(led, 0.10, 0.0, 0.0)  # all equity, +10%
-    np.testing.assert_allclose(grown.wealth[0], 110.0, rtol=1e-15)
-
-    led.allocation[0] = 0.0
-    shrunk = ledger_step(led, 0.10, -0.05, 0.0)  # all matching, -5%
-    np.testing.assert_allclose(shrunk.wealth[0], 95.0, rtol=1e-15)
-
-    led.allocation[0] = 0.5
-    blend = ledger_step(led, 0.10, 0.0, 0.0)  # 50/50 blend grows 5%
-    np.testing.assert_allclose(blend.wealth[0], 105.0, rtol=1e-15)
-
-
-def test_ledger_appends_new_tranche_in_equity():
-    led = ledger_step(WealthLedger.open(100.0), 0.0, 0.0, 42.0)
-    assert led.year == 1
-    assert led.tau.tolist() == [0, 1]
-    assert led.wealth[-1] == 42.0
-    assert led.allocation[-1] == 1.0
-    assert not led.absorbed[-1]
-
-
-def test_ledger_aggregate_additivity():
-    # equal allocations: stepping tranches and summing equals stepping the sum
-    rng = np.random.default_rng(11)
-    led = WealthLedger.open(50.0)
-    for _ in range(5):
-        led = ledger_step(led, rng.normal(0.05, 0.1), rng.normal(0.02, 0.05), 10.0)
-    led.allocation[:] = 0.37
-    x, m = 0.08, -0.01
-    stepped = ledger_step(led, x, m, 0.0)
-    blended = led.total * (0.37 * (1 + x) + 0.63 * (1 + m))
-    np.testing.assert_allclose(stepped.total, blended, rtol=1e-12)
-
-
-def test_ledger_wealth_monotone_under_nonnegative_returns():
-    led = WealthLedger.open(10.0)
-    totals = [led.total]
-    for t in range(6):
-        led.allocation[:] = 0.5
-        led = ledger_step(led, 0.04, 0.01, 5.0)
-        totals.append(led.total)
-    assert all(b >= a for a, b in zip(totals, totals[1:]))
-
-
-def test_ledger_rejects_bad_inputs():
-    led = WealthLedger.open(10.0)
-    led.allocation[0] = 1.5
-    with pytest.raises(ContractError):
-        ledger_step(led, 0.0, 0.0, 0.0)
-    with pytest.raises(ContractError):
-        WealthLedger.open(-5.0)
-    led.allocation[0] = 1.0
-    with pytest.raises(ContractError):
-        ledger_step(led, 0.0, 0.0, -1.0)

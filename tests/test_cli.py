@@ -318,8 +318,9 @@ def test_report_one_row_per_strategy_token(tmp_path):
     assert labels == ["static_0", "static_100", "glide_30", "cumulative"]
 
 
-def test_report_unknown_token_exits_1(tmp_path, capsys):
-    cfg = write_config(tmp_path, SMALL + "report.strategies = static_0,wizardry\n")
+@pytest.mark.parametrize("token", ["wizardry", "static_abc", "glide_x"])
+def test_report_unknown_token_exits_1(tmp_path, capsys, token):
+    cfg = write_config(tmp_path, SMALL + f"report.strategies = static_0,{token}\n")
     out = str(tmp_path / "repx")
     assert cli.main(["report", "--config", cfg, "--out", out]) == 1
     assert "unknown report strategy token" in capsys.readouterr().err

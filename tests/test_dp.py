@@ -16,8 +16,6 @@ from pensionsim import (
     SimulationInputs,
     TargetFrame,
     TargetParams,
-    WealthLedger,
-    apply_policy,
     export_policy_csv,
     ingest,
     simulate,
@@ -332,18 +330,6 @@ def test_export_policy_csv_round_trips(small_inputs):
         assert int(t) in policy.times
         assert float(a) in grid
         assert np.isfinite(float(z))
-
-
-def test_apply_policy_reads_ratio_per_tranche():
-    policy = _flat_policy([0.0, 1.0, 0.5])  # constant curves: alpha 0.5 always
-    led = WealthLedger.open(100.0)
-    alphas, aggregate = apply_policy(policy, led, np.array([200.0]), 4)
-    np.testing.assert_allclose(alphas, [0.5])
-    np.testing.assert_allclose(aggregate, 0.5)
-    with pytest.raises(DomainError):
-        apply_policy(policy, led, np.array([0.0]), 4)
-    with pytest.raises(ParameterError):
-        apply_policy(policy, led, np.array([1.0, 2.0]), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ from conftest import flat_params
 from pensionsim import (
     simulate,
     summarize,
-    market_value_factor,
     market_value_series,
-    matching_return,
     post_retirement_factor,
     SimulationInputs,
 )
@@ -65,30 +63,15 @@ def test_factor_matches_direct_sum(default_inputs):
         rates[mats == 0] = 0.0
         i_t = infl.rates[path, t]
         oracle = np.sum((1.0 + i_t) ** mats / (1.0 + rates) ** mats)
-        got = market_value_factor(s, path, t, spec, infl)
+        got = default_inputs.market.M[path, t]
         np.testing.assert_allclose(got, oracle, rtol=1e-12)
-
-
-def test_series_matches_scalar_factor(default_inputs):
-    series = default_inputs.market
-    s = default_inputs.scenarios
-    for path, t in ((1, 0), (5, 9), (2, default_inputs.T)):
-        got = market_value_factor(s, path, t, default_inputs.annuity, default_inputs.inflation)
-        np.testing.assert_allclose(series.M[path, t], got, rtol=1e-13)
 
 
 def test_matching_return_is_factor_growth(default_inputs):
     series = default_inputs.market
     for t in (1, 7, default_inputs.T):
         expected = series.M[:, t] / series.M[:, t - 1] - 1.0
-        np.testing.assert_allclose(matching_return(series, t), expected, rtol=1e-13)
-
-
-def test_matching_return_domain(default_inputs):
-    with pytest.raises(DomainError):
-        matching_return(default_inputs.market, 0)
-    with pytest.raises(DomainError):
-        matching_return(default_inputs.market, default_inputs.T + 1)
+        np.testing.assert_allclose(series.m[:, t], expected, rtol=1e-13)
 
 
 def test_factor_positive_everywhere(default_inputs):

@@ -6,18 +6,19 @@ from dataclasses import replace
 
 from conftest import flat_params
 from pensionsim import (
+    CombinationStrategy,
     CumulativeTargetStrategy,
+    DpConfig,
     GlidePath,
     IndividualTargetStrategy,
+    ModelParams,
     SimulationInputs,
     StaticMixStrategy,
     TargetFrame,
     TargetParams,
-    WealthLedger,
     cumulative_step,
     cumulative_target,
     default_schedule,
-    individual_step,
     optimize_static_mix,
     post_retirement_factor,
     simulate,
@@ -26,6 +27,7 @@ from pensionsim import (
 )
 from pensionsim.errors import DomainError, EngineError, ParameterError, ScheduleError
 from pensionsim.market import AnnuitySpec
+from pensionsim.strategies import _run_tranches
 
 
 def _params(T, r=0.02):
@@ -156,6 +158,20 @@ def test_target_frame_factor_matches_scalar_function(small_inputs):
             np.testing.assert_allclose(vec[path], scalar, rtol=1e-12)
 
 
+def test_target_frame_cumulative_target_matches_scalar_formula(small_inputs):
+    p = _params(small_inputs.T)
+    frame = TargetFrame.build(small_inputs, p)
+    pi = small_inputs.scenarios.pi
+    c = small_inputs.contributions
+    rates = small_inputs.inflation.rates
+    T = small_inputs.T
+    for path, t in ((0, 0), (17, T // 2), (201, T), (3, T)):
+        scalar = cumulative_target(
+            pi[path], c[path], t, p, frame.M[path, t], p.m_tilde, rates[path, t]
+        )
+        np.testing.assert_allclose(frame.target_cum[path, t], scalar, rtol=1e-12)
+
+
 def test_target_frame_z0_identity(small_inputs):
     p = _params(small_inputs.T)
     frame = TargetFrame.build(small_inputs, p)
@@ -205,28 +221,6 @@ def test_cumulative_step_domain_and_validation():
         cumulative_step(10.0, 90.0, 0.5, -1.5, -1.5, 2)
     with pytest.raises(ParameterError):
         cumulative_step(10.0, 90.0, 1.2, 0.1, 0.0, 2)
-
-
-def test_individual_step_absorbs_and_stays_absorbed():
-    led = WealthLedger.open(100.0)
-    led, agg = individual_step(led, np.array([90.0]), 0)
-    assert led.absorbed[0] and led.allocation[0] == 0.0 and agg == 0.0
-    # wealth drops back below the target: the switch is one-way
-    led.wealth[0] = 10.0
-    led, agg = individual_step(led, np.array([90.0]), 1)
-    assert led.absorbed[0] and led.allocation[0] == 0.0
-
-
-def test_individual_step_aggregate_is_wealth_weighted():
-    led = WealthLedger.open(100.0)
-    from pensionsim import ledger_step
-
-    led = ledger_step(led, 0.0, 0.0, 50.0)
-    led, agg = individual_step(led, np.array([90.0, 90.0]), 1)
-    # first tranche (100) absorbed, second (50) stays in equity
-    np.testing.assert_allclose(agg, 50.0 / 150.0, rtol=1e-14)
-    with pytest.raises(ParameterError):
-        individual_step(led, np.array([90.0]), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +278,43 @@ def test_individual_run_tranche_switches_once(small_inputs):
         downs = (np.diff(col, axis=1) < 0).sum(axis=1)
         assert downs.max() <= 1
     assert (outcome.alpha >= 0.0).all() and (outcome.alpha <= 1.0).all()
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, 1.0])
+def test_tranche_kernel_at_one_mix_equals_static_run(small_inputs, a):
+    # tranches held at one mix grow like the aggregate pot, and the
+    # wealth-weighted aggregate allocation is that mix
+    T, n = small_inputs.T, small_inputs.n_paths
+    panel = np.full((n, T + 1, T + 1), np.nan)
+    outcome = _run_tranches("mix", small_inputs, panel, lambda t, live: np.full(live.shape, a))
+    static = StaticMixStrategy(mix=a).run(small_inputs)
+    np.testing.assert_allclose(outcome.wealth, static.wealth, rtol=1e-12)
+    held = outcome.wealth > 0
+    assert held.any()
+    np.testing.assert_allclose(outcome.alpha[held], a, rtol=1e-12, atol=0)
+    assert outcome.tranche_alpha is panel
+
+
+def test_tranche_rules_report_zero_alpha_without_wealth():
+    # a salary below the franchise: no contributions in the first ten years
+    scenarios = simulate(ModelParams(), 50, 12, seed=7)
+    inputs = SimulationInputs.prepare(
+        scenarios,
+        annuity=AnnuitySpec(T=12, N=20),
+        schedule=replace(default_schedule(), base_salary=10000.0),
+    )
+    params = _params(12)
+    individual = IndividualTargetStrategy(params).run(inputs)
+    empty = individual.wealth == 0
+    assert empty[:, :10].all()
+    for outcome in (
+        individual,
+        CombinationStrategy(params, cfg=DpConfig(curve_points=21)).run(inputs),
+    ):
+        assert np.array_equal(outcome.wealth == 0, empty)
+        assert np.all(outcome.alpha[empty] == 0.0)
+    # every empty tranche has reached its zero target and is absorbed
+    assert np.all(individual.tranche_alpha[:, 9, :10] == 0.0)
 
 
 def test_target_rules_scale_with_monetary_units(small_inputs):
