@@ -10,9 +10,10 @@ comments; every key has a default (see ``--print-defaults``).  The
 :class:`~pensionsim.dp.DpConfig`, derived from the dataclasses with their
 defaults, so a field added there becomes a key here.  All runs are
 deterministic: the same config and seed produce byte-identical files.
-``--threads`` (config key ``threads``, 0 = all cores) sets the worker threads
-for scenario noise generation and for the per-contribution tranche solves of
-the ``combination`` strategy; it never changes results.
+``--threads`` (config key ``threads``, 0 = every core this process may run
+on) sets the worker threads for scenario noise generation and the worker
+processes for the per-contribution tranche solves of the ``combination``
+strategy; it never changes results.
 """
 
 from __future__ import annotations
@@ -200,6 +201,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"strategy.kind must be one of {', '.join(_STRATEGY_KINDS)}, got {v['strategy.kind']!r}"
         )
+    if not 0.0 <= v["strategy.glide_end"] <= 1.0:
+        raise ConfigError(f"strategy.glide_end must lie in [0, 1], got {v['strategy.glide_end']}")
     if v["dp.mode"] not in ("per-contribution", "shared"):
         raise ConfigError(f"dp.mode must be per-contribution or shared, got {v['dp.mode']!r}")
     if not 0.0 < v["report.static_grid_step"] <= 1.0:
@@ -264,15 +267,15 @@ def _target_params(cfg: RunConfig, r: float) -> TargetParams:
     )
 
 
-def _strategy(cfg: RunConfig, kind: str, value, r, label: str, threads: int):
+def _strategy(cfg: RunConfig, kind: str, value, r, label: str, threads: int, ages: tuple):
     """Strategy of one ``kind`` plus the target parameters its estimators use.
 
     ``value`` is the mix of ``static`` and the final equity fraction of
     ``glide``; ``r`` is the required real return of the target rules.  The
     rules without a target are evaluated at ``evaluation.estimation_r``.
+    Glide paths run over ``ages``, the prepared career schedule's ages.
     """
     v = cfg.values
-    ages = tuple(range(25, 25 + v["annuity.T"] + 1))
     if kind in ("static", "glide", "bogle"):
         if kind == "glide":
             value = GlidePath.linear_to(value, ages=ages)
@@ -308,9 +311,11 @@ def _report_spec(token: str, cfg: RunConfig) -> tuple:
             value = float(pct) / 100.0
         except ValueError:
             value = np.nan
-        if np.isfinite(value) and (kind == "glide" or 0.0 <= value <= 1.0):
+        if 0.0 <= value <= 1.0:
             return kind, value, None, token
-    raise ConfigError(f"unknown report strategy token {token!r}")
+    raise ConfigError(
+        f"unknown report strategy token {token!r} (static_/glide_ take a percentage in 0..100)"
+    )
 
 
 class _Outputs:
@@ -351,7 +356,12 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
     seed = v["seed"] if seed is None else int(seed)
     threads = v["threads"] if threads is None else int(threads)
     if threads <= 0:
-        threads = os.cpu_count() or 1
+        # the cores this process may run on, not every host CPU: each
+        # tranche worker is a whole process
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:
+            threads = os.cpu_count() or 1
     outputs = _Outputs(out_dir)
     try:
         if subcommand == "simulate":
@@ -362,7 +372,9 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             inputs = _build_inputs(cfg, seed, threads)
             kind = v["strategy.kind"]
             value = {"static": v["strategy.mix"], "glide": v["strategy.glide_end"]}.get(kind)
-            strategy, est_params = _strategy(cfg, kind, value, v["strategy.r"], kind, threads)
+            strategy, est_params = _strategy(
+                cfg, kind, value, v["strategy.r"], kind, threads, inputs.schedule.ages
+            )
             report = evaluate_strategy(
                 inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
             )
@@ -415,7 +427,9 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
                     step = v["report.static_grid_step"]
                     grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
                     value = optimize_static_mix(inputs, grid, target_rr=v["strategy.target_rr"])
-                strategy, est_params = _strategy(cfg, kind, value, r, label, threads)
+                strategy, est_params = _strategy(
+                    cfg, kind, value, r, label, threads, inputs.schedule.ages
+                )
                 report = evaluate_strategy(
                     inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
                 )
@@ -442,8 +456,9 @@ def main(argv=None) -> int:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for scenario generation and combination tranche solves "
-            "(0 = all cores); results are identical for any count",
+            help="worker threads for scenario generation and worker processes for the "
+            "combination tranche solves (0 = all usable cores); results are identical "
+            "for any count",
         )
         p.add_argument(
             "--print-defaults",

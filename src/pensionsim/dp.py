@@ -28,12 +28,15 @@ the known side of z and a ratio needs a table read plus one compare per
 break in its bucket.  The rollout gathers growth factors by flat
 ``region * n + path`` indices, and a refresh that changes decisions
 re-rolls only the paths whose decision changed.
+
+The per-contribution tranche solves are independent, and their kernels hold
+the interpreter lock, so :class:`CombinationStrategy` runs them in worker
+processes.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,6 +417,17 @@ class _SnakeSolver:
             self.trace.append(float(utility_check(self.z[self.nd], self.cfg).mean()))
 
 
+def _solve_decisions(z0: np.ndarray, factors: np.ndarray, cfg: DpConfig) -> np.ndarray:
+    """In-sample grid indices of one tranche, shape (decision times, paths).
+
+    A module-level function, so a worker process can run it and send back
+    the small index array rather than a :class:`PolicyModel` with its curves.
+    """
+    solver = _SnakeSolver(z0, factors, cfg)
+    solver.solve()
+    return solver.decisions
+
+
 def _step_factors(inputs: SimulationInputs, frame: TargetFrame, cfg: DpConfig) -> np.ndarray:
     """Per (allocation, path, year) growth factor of the ratio Z.
 
@@ -469,9 +483,12 @@ class CombinationStrategy:
     :func:`~pensionsim.strategies._run_tranches`, the one the individual
     rule uses.
 
-    ``threads`` fans the independent per-contribution tranche solves out
-    over a thread pool, largest tranche first.  Each solve writes only its
-    own tranche's decisions, so results never depend on the thread count.
+    ``threads`` is the number of worker processes for the independent
+    per-contribution tranche solves.  Above one, the tranches born at
+    tau >= 1 go to forked workers, largest first, while this process solves
+    tau = 0, the largest, through :func:`solve_policy`; at one, every solve
+    runs here.  Each solve depends only on its own tranche, so results never
+    depend on the worker count.
     """
 
     params: TargetParams
@@ -486,33 +503,61 @@ class CombinationStrategy:
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
 
+    def _tranche_decisions(self, inputs: SimulationInputs, frame: TargetFrame, factors) -> list:
+        """In-sample grid indices of every tranche, indexed by birth year."""
+        T = inputs.T
+
+        def tranche(tau: int) -> tuple:
+            return frame.z0(tau), factors[:, :, tau + 1 : T + 1], self.cfg
+
+        if self.threads == 1 or T < 2:
+            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
+            return [policy.decisions] + [_solve_decisions(*tranche(tau)) for tau in range(1, T)]
+        # imported here: the process machinery costs a package import ~11 ms
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, whatever the platform default: workers inherit numpy and the
+        # package instead of importing them again.  The CLI gets here with no
+        # other thread running, so no lock is copied mid-hold
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.threads, T - 1), mp_context=multiprocessing.get_context("fork")
+        )
+        try:
+            # work falls with tau: the largest tranches go first, and this
+            # process solves tau = 0, the largest of all, meanwhile
+            futures = [pool.submit(_solve_decisions, *tranche(tau)) for tau in range(1, T)]
+            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
+            return [policy.decisions] + [f.result() for f in futures]
+        finally:
+            # on a failure the queued tranches are dropped; either way every
+            # worker has exited and been reaped before this returns
+            pool.shutdown(wait=True, cancel_futures=True)
+
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
         T, n = inputs.T, inputs.n_paths
         x, m = inputs.scenarios.x, inputs.market.m
         factors = _step_factors(inputs, frame, self.cfg)
         grid = np.asarray(self.cfg.grid, dtype=float)
+        if self.mode == "per-contribution":
+            # solved before the panel exists, so forked workers do not copy it
+            decisions = self._tranche_decisions(inputs, frame, factors)
+        else:
+            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
 
         # allocation of the tranche born at tau, decided at time t:
         # tranche_alpha[:, t, tau]; NaN before birth, zero at conversion
         tranche_alpha = np.full((n, T + 1, T + 1), np.nan)
-        if self.mode == "per-contribution":
-
-            def solve(tau: int) -> None:
-                policy = solve_policy(inputs, frame, self.cfg, tau=tau, factors=factors)
-                tranche_alpha[:, tau:T, tau] = grid[policy.decisions].T
-
-            # work falls with tau, so submitting tau = 0 first balances the pool
-            with ThreadPoolExecutor(max_workers=min(self.threads, T)) as pool:
-                list(pool.map(solve, range(T)))
-        else:
-            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
-            for tau in range(T):
-                z = frame.z0(tau)
-                for t in range(tau, T):
-                    a = policy.alpha_at(t, z)
-                    tranche_alpha[:, t, tau] = a
-                    z = z_step(z, a, x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
+        for tau in range(T):
+            if self.mode == "per-contribution":
+                tranche_alpha[:, tau:T, tau] = grid[decisions[tau]].T
+                continue
+            z = frame.z0(tau)
+            for t in range(tau, T):
+                a = policy.alpha_at(t, z)
+                tranche_alpha[:, t, tau] = a
+                z = z_step(z, a, x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
         tranche_alpha[:, T, :] = 0.0
         return _run_tranches(
             self.label, inputs, tranche_alpha, lambda t, live: tranche_alpha[:, t, : t + 1]

@@ -218,9 +218,9 @@ def simulate(
     threads : int
         Worker threads for noise generation.  Purely a throughput hint: the
         per-path substreams make the output independent of the thread count.
-        The CLI's ``threads`` setting feeds this and also fans out the
-        combination strategy's tranche solves, which never changes results
-        either.
+        The CLI's ``threads`` setting feeds this and also sets the worker
+        processes for the combination strategy's tranche solves, which
+        never changes results either.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")

@@ -97,7 +97,10 @@ class GlidePath:
     @classmethod
     def linear_to(cls, end: float, ages=tuple(range(25, 67)), start: float = 1.0) -> "GlidePath":
         """Equity fraction moving linearly from ``start`` to ``end`` over ``ages``."""
-        frac = np.clip(np.linspace(start, end, len(ages)), 0.0, 1.0)
+        for f in (start, end):
+            if not 0.0 <= f <= 1.0:
+                raise ParameterError(f"glide path fraction {f} not in [0, 1]")
+        frac = np.linspace(start, end, len(ages))
         return cls(ages=tuple(ages), fraction=tuple(float(f) for f in frac))
 
     def fraction_at(self, age: int) -> float:

@@ -108,6 +108,8 @@ def test_range_validation(tmp_path):
         cli.parse_config(write_config(tmp_path, "strategy.kind = martingale\n"))
     with pytest.raises(ConfigError, match="dp.mode must be"):
         cli.parse_config(write_config(tmp_path, "dp.mode = global\n"))
+    with pytest.raises(ConfigError, match="strategy.glide_end must lie in"):
+        cli.parse_config(write_config(tmp_path, "strategy.glide_end = 1.5\n"))
 
 
 def test_missing_config_file_reports_path(tmp_path):
@@ -250,6 +252,43 @@ def test_runtime_domain_error_exits_2_and_cleans_outputs(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("kind", ["glide", "bogle"])
+def test_glide_paths_follow_career_file_ages(tmp_path, kind):
+    # a career that starts at 30: the glide path must cover ages 30..42
+    rows = "".join(f"{age},0.02,0.08\n" for age in range(30, 43))
+    career = tmp_path / "career.csv"
+    career.write_text("age,career_rate,contribution_rate\n" + rows, encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        "n_paths = 60\nhorizon = 12\nannuity.T = 12\nseed = 5\n"
+        f"career.file = {career}\nstrategy.kind = {kind}\n",
+    )
+    assert cli.main(["evaluate", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+    parsed = cli.parse_config(cfg)
+    ages = cli._build_inputs(parsed, 5, 1).schedule.ages
+    strategy, _ = cli._strategy(parsed, kind, 0.3, None, kind, 1, ages)
+    assert strategy.mix.ages == tuple(range(30, 43))
+
+
+def test_zero_threads_counts_usable_cores(tmp_path, monkeypatch):
+    seen = []
+
+    def simulate(params, n_paths, horizon, seed, threads=1):
+        seen.append(threads)
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    cfg = cli.parse_config(write_config(tmp_path, SMALL))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    with pytest.raises(ConfigError):
+        cli.run(cfg, "simulate", str(tmp_path / "a"), threads=0)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    with pytest.raises(ConfigError):
+        cli.run(cfg, "simulate", str(tmp_path / "b"), threads=0)
+    assert seen == [3, 64]
+
+
 # ---------------------------------------------------------------------------
 # solve-dp
 
@@ -318,7 +357,7 @@ def test_report_one_row_per_strategy_token(tmp_path):
     assert labels == ["static_0", "static_100", "glide_30", "cumulative"]
 
 
-@pytest.mark.parametrize("token", ["wizardry", "static_abc", "glide_x"])
+@pytest.mark.parametrize("token", ["wizardry", "static_abc", "glide_x", "glide_150", "static_-5"])
 def test_report_unknown_token_exits_1(tmp_path, capsys, token):
     cfg = write_config(tmp_path, SMALL + f"report.strategies = static_0,{token}\n")
     out = str(tmp_path / "repx")

@@ -1,7 +1,8 @@
 """Dynamic-programming policy solver for the per-tranche ratio process."""
 
 import itertools
-import sys
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pensionsim import (
     utility_check,
     z_step,
 )
-from pensionsim import dp
+from pensionsim import cli, dp
 from pensionsim.dp import _SnakeSolver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.market import AnnuitySpec
@@ -367,17 +368,12 @@ def test_combination_runs_are_deterministic(tiny_inputs):
 
 
 def test_combination_tranche_solves_are_thread_independent(small_inputs):
-    # more workers than cores and frequent thread switches, so a lost or
-    # misplaced tranche write would show as a mismatch
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        a, b = (
-            CombinationStrategy(_params(small_inputs.T), threads=threads).run(small_inputs)
-            for threads in (1, 3)
-        )
-    finally:
-        sys.setswitchinterval(interval)
+    # more workers than cores, so a lost or misplaced tranche result would
+    # show as a mismatch
+    a, b = (
+        CombinationStrategy(_params(small_inputs.T), threads=threads).run(small_inputs)
+        for threads in (1, 3)
+    )
     assert np.array_equal(a.wealth, b.wealth)
     assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.tranche_alpha, b.tranche_alpha, equal_nan=True)
@@ -396,3 +392,62 @@ def test_combination_shared_mode(tiny_inputs):
 def test_combination_rejects_unknown_mode():
     with pytest.raises(ParameterError):
         CombinationStrategy(_params(8), mode="global")
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("world", ["tiny_inputs", "small_inputs"])
+def test_worker_tranches_equal_direct_solves(request, world, threads):
+    inputs = request.getfixturevalue(world)
+    T = inputs.T
+    cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
+    params = _params(T)
+    outcome = CombinationStrategy(params, cfg=cfg, threads=threads).run(inputs)
+    frame = TargetFrame.build(inputs, params)
+    grid = np.asarray(cfg.grid)
+    for tau in range(T):
+        direct = grid[solve_policy(inputs, frame, cfg, tau=tau).decisions].T
+        assert np.array_equal(outcome.tranche_alpha[:, tau:T, tau], direct)
+
+
+def _fail_solves(monkeypatch, T, which):
+    """Make ``_SnakeSolver.solve`` raise a DomainError for some birth years.
+
+    A solver for the tranche born at tau has T - tau decision times.  Forked
+    workers inherit the patch.
+    """
+    solve = _SnakeSolver.solve
+
+    def failing(self):
+        if which(T - self.nd):
+            raise DomainError(f"injected failure at tau={T - self.nd}")
+        solve(self)
+
+    monkeypatch.setattr(dp._SnakeSolver, "solve", failing)
+
+
+@pytest.mark.parametrize("which", [lambda tau: tau >= 1, lambda tau: tau == 0],
+                         ids=["worker", "parent"])
+def test_failed_tranche_solve_raises_typed_and_leaves_no_worker(tiny_inputs, monkeypatch, which):
+    cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
+    _fail_solves(monkeypatch, tiny_inputs.T, which)
+    for threads in (1, 3):
+        with pytest.raises(DomainError, match="injected failure"):
+            CombinationStrategy(_params(tiny_inputs.T), cfg=cfg, threads=threads).run(tiny_inputs)
+        assert multiprocessing.active_children() == []
+
+
+def test_worker_failure_exits_like_a_serial_run(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "n_paths = 60\nhorizon = 8\nannuity.T = 8\nseed = 5\n"
+        "report.strategies = static_40,combination\n",
+        encoding="utf-8",
+    )
+    _fail_solves(monkeypatch, 8, lambda tau: tau >= 1)
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        argv = ["report", "--config", str(cfg), "--out", str(out), "--threads", threads]
+        assert cli.main(argv) == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        assert multiprocessing.active_children() == []

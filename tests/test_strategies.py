@@ -77,8 +77,12 @@ def test_glide_path_validation():
         GlidePath.bogle().fraction_at(24)
     with pytest.raises(ScheduleError):
         GlidePath(ages=(25, 26), fraction=(0.5, 1.2))
-    # the linear constructor clamps instead of raising
-    assert GlidePath.linear_to(1.4).fraction_at(66) == 1.0
+    # the linear constructor rejects an end point outside [0, 1], never clamps it
+    for end in (1.4, 1.5, -0.1, float("nan")):
+        with pytest.raises(ParameterError):
+            GlidePath.linear_to(end)
+    with pytest.raises(ParameterError):
+        GlidePath.linear_to(0.3, start=1.2)
 
 
 def test_static_step_dispatch():
