@@ -38,7 +38,6 @@ from .errors import (
 from .lsmc import (
     InflationEstimator,
     LoessModel,
-    expected_inflation,
     loess_batch,
     loess_eval,
     regress_now,

@@ -11,9 +11,10 @@ comments; every key has a default (see ``--print-defaults``).  The
 defaults, so a field added there becomes a key here.  All runs are
 deterministic: the same config and seed produce byte-identical files.
 ``--threads`` (config key ``threads``, 0 = every core this process may run
-on) sets the worker threads for scenario noise generation and the worker
-processes for the per-contribution tranche solves of the ``combination``
-strategy; it never changes results.
+on) sets the worker processes for the per-contribution tranche solves of the
+``combination`` strategy; it never changes results.  The grid steps
+``report.static_grid_step``, ``frontier.mix_step`` and ``frontier.r_step``
+must divide their spans.
 """
 
 from __future__ import annotations
@@ -211,6 +212,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("frontier step sizes must be positive")
     if v["frontier.r_max"] < v["frontier.r_min"]:
         raise ConfigError("frontier.r_max must be >= frontier.r_min")
+    for key, span in (
+        ("report.static_grid_step", 1.0),
+        ("frontier.mix_step", 1.0),
+        ("frontier.r_step", v["frontier.r_max"] - v["frontier.r_min"]),
+    ):
+        steps = span / v[key]
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+            raise ConfigError(f"{key} = {v[key]!r} does not divide its span {span!r}")
     if v["evaluation.estimation_lag"] < 0:
         raise ConfigError("evaluation.estimation_lag must be >= 0")
     try:
@@ -235,11 +244,17 @@ def _dp_config(cfg: RunConfig) -> DpConfig:
     return DpConfig(grid=grid, **scalars)
 
 
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ..., hi; ``_validate`` has checked that step divides hi - lo."""
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+
+
+# ``threads`` is unused here and in _build_inputs: perfbench/ passes it positionally
 def _build_scenarios(cfg: RunConfig, seed: int, threads: int):
     v = cfg.values
     if v["scenario.file"]:
         return ingest(v["scenario.file"], wage_spread=v["model.wage_spread"])
-    return simulate(_model_params(cfg), v["n_paths"], v["horizon"], seed, threads=threads)
+    return simulate(_model_params(cfg), v["n_paths"], v["horizon"], seed)
 
 
 def _build_inputs(cfg: RunConfig, seed: int, threads: int) -> SimulationInputs:
@@ -396,14 +411,10 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             names = [tok.strip() for tok in v["frontier.families"].split(",") if tok.strip()]
             for name in names:
                 if name == "static":
-                    k = int(round(1.0 / v["frontier.mix_step"]))
-                    families[name] = np.linspace(0.0, 1.0, k + 1).round(12)
+                    families[name] = _grid(0.0, 1.0, v["frontier.mix_step"]).round(12)
                 elif name in ("cumulative", "individual"):
-                    span = v["frontier.r_max"] - v["frontier.r_min"]
-                    k = int(round(span / v["frontier.r_step"]))
-                    families[name] = np.linspace(
-                        v["frontier.r_min"], v["frontier.r_max"], k + 1
-                    ).round(12)
+                    r_grid = _grid(v["frontier.r_min"], v["frontier.r_max"], v["frontier.r_step"])
+                    families[name] = r_grid.round(12)
                 else:
                     raise ConfigError(f"unknown frontier family {name!r}")
             rows = frontier(
@@ -424,8 +435,7 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             lines = [",".join(REPORT_COLUMNS)]
             for kind, value, r, label in specs:
                 if label == "static_opt":
-                    step = v["report.static_grid_step"]
-                    grid = np.linspace(0.0, 1.0, int(round(1.0 / step)) + 1)
+                    grid = _grid(0.0, 1.0, v["report.static_grid_step"])
                     value = optimize_static_mix(inputs, grid, target_rr=v["strategy.target_rr"])
                 strategy, est_params = _strategy(
                     cfg, kind, value, r, label, threads, inputs.schedule.ages
@@ -456,9 +466,8 @@ def main(argv=None) -> int:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for scenario generation and worker processes for the "
-            "combination tranche solves (0 = all usable cores); results are identical "
-            "for any count",
+            help="worker processes for the combination tranche solves (0 = all usable "
+            "cores); results are identical for any count",
         )
         p.add_argument(
             "--print-defaults",

@@ -312,8 +312,6 @@ class _SnakeSolver:
         if np.any(factors <= 0.0):
             raise DomainError("ratio growth factors must be positive")
         self.cfg = cfg
-        self.grid = np.asarray(cfg.grid, dtype=float)
-        self.k = self.grid.shape[0]
         # one contiguous (allocation, path) slab per step keeps the per-step
         # gathers in the rollout and propagation cache-friendly
         self.factors = np.ascontiguousarray(factors.transpose(2, 0, 1))

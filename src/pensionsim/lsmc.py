@@ -14,10 +14,9 @@ nested simulation:
   slice of the sorted rows).  This is the package's only
   LOESS; the dynamic-programming solver fits its expected-utility curves
   with the same two steps.
-* :func:`expected_inflation` — the cumulative-inflation cross-sectional
-  regression that converts realized inflation into a per-path annual
-  expected-inflation rate, plus :class:`InflationEstimator`, the full
-  per-(path, year) table of those rates.
+* :class:`InflationEstimator` — the per-(path, year) table of expected
+  annual inflation, one cumulative-inflation cross-sectional line fit per
+  observation year.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ __all__ = [
     "LoessModel",
     "loess_eval",
     "loess_batch",
-    "InflationFit",
     "InflationEstimator",
-    "expected_inflation",
 ]
 
 
@@ -327,80 +324,20 @@ def loess_eval(model: LoessModel, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InflationFit:
-    """Cross-sectional inflation regression at one observation year."""
-
-    xi1: float
-    xi2: float
-    rates: np.ndarray  # per-path annual expected inflation
-
-
-def _cumulative_inflation(pi: np.ndarray) -> np.ndarray:
-    """cum[:, t] = prod_{k=1..t} (1 + pi_k); year-0 inflation is not compounded."""
-    growth = 1.0 + pi.copy()
-    growth[:, 0] = 1.0
-    return np.cumprod(growth, axis=1)
-
-
-def _annualize(levels: np.ndarray, order: int, floor: float) -> np.ndarray:
-    """Root the fitted cumulative level to an annual rate.
-
-    ``order`` is the printed root order (one less than the number of
-    compounded years); the single-period case returns the level directly.
-    The floor keeps the level positive before the fractional root — and in
-    the single-period case it keeps 1 + I positive.
-    """
-    lv = np.maximum(levels, floor)
-    if order == 0:
-        return lv - 1.0
-    return lv ** (1.0 / order) - 1.0
-
-
-def expected_inflation(scenarios, t: int, T: int, floor: float = 0.5) -> InflationFit:
-    """Expected effective annual inflation over [t, T], per path.
-
-    Cross-sectional regression of future cumulative inflation
-    ``y = prod_{k=t+1..T}(1+pi_k)`` on realized cumulative inflation
-    ``x = prod_{k=1..t}(1+pi_k)`` (x = 1 at t=0); the fitted level
-    ``xi1*x + xi2`` is floored and rooted with order ``T - (t+1)``.  A
-    constant regressor (e.g. t = 0) engages the intercept-only fit, i.e. the
-    cross-sectional mean of y.
-    """
-    if not 0 <= t < T:
-        raise DomainError(f"need 0 <= t < T, got t={t}, T={T}")
-    if T > scenarios.horizon:
-        raise DomainError(f"T={T} exceeds scenario horizon {scenarios.horizon}")
-    cum = _cumulative_inflation(scenarios.pi)
-    xi1, xi2, rates = _fit_single_year(cum, t, T, floor)
-    return InflationFit(xi1=xi1, xi2=xi2, rates=rates)
-
-
-def _fit_single_year(cum: np.ndarray, t: int, T: int, floor: float):
-    x = cum[:, t]
-    y = cum[:, T] / cum[:, t]
-    if np.ptp(x) == 0.0:
-        xi1, xi2 = 0.0, float(y.mean())
-    else:
-        xm = x.mean()
-        ym = y.mean()
-        xd = x - xm
-        xi1 = float(np.dot(xd, y - ym) / np.dot(xd, xd))
-        xi2 = float(ym - xi1 * xm)
-    levels = xi1 * x + xi2
-    rates = _annualize(levels, T - t - 1, floor)
-    return xi1, xi2, rates
-
-
 @dataclass
 class InflationEstimator:
     """Per-(path, year) expected annual inflation table.
 
-    ``rates[:, t]`` is I(T; t); the column at t = T carries the t = T-1 value
-    forward (annuity pricing at retirement still needs an expected-inflation
-    rate, and the same annual rate extends beyond the regression's last
-    observation year).  ``cum`` is the realized cumulative inflation used as
-    the regressor.
+    ``rates[:, t]`` is I(T; t), the expected effective annual inflation over
+    [t, T]: the cross-sectional least-squares line of future cumulative
+    inflation ``prod_{k=t+1..T}(1+pi_k)`` on realized cumulative inflation
+    ``cum[:, t] = prod_{k=1..t}(1+pi_k)`` (year-0 inflation is not
+    compounded), its fitted level floored at ``floor`` and rooted with order
+    ``T - (t+1)`` (the single-period level is used directly).  A constant
+    regressor (t = 0) fits the cross-sectional mean alone.  The column at
+    t = T carries the t = T-1 value forward (annuity pricing at retirement
+    still needs an expected-inflation rate, and the same annual rate extends
+    beyond the regression's last observation year).
     """
 
     T: int
@@ -411,10 +348,22 @@ class InflationEstimator:
     def fit(cls, scenarios, T: int, floor: float = 0.5) -> "InflationEstimator":
         if not 1 <= T <= scenarios.horizon:
             raise DomainError(f"need 1 <= T <= horizon, got T={T}")
-        cum = _cumulative_inflation(scenarios.pi)[:, : T + 1]
+        growth = 1.0 + scenarios.pi[:, : T + 1]
+        growth[:, 0] = 1.0
+        cum = np.cumprod(growth, axis=1)
         rates = np.empty((scenarios.n_paths, T + 1))
         for t in range(T):
-            rates[:, t] = _fit_single_year(cum, t, T, floor)[2]
+            x, y = cum[:, t], cum[:, T] / cum[:, t]
+            # closed-form line; regress_now's lstsq differs in the last bits
+            xm, ym = x.mean(), y.mean()
+            xi1 = 0.0
+            if np.ptp(x) > 0.0:
+                xd = x - xm
+                xi1 = float(np.dot(xd, y - ym) / np.dot(xd, xd))
+            # the floor keeps the level (and 1 + I) positive before the root
+            levels = np.maximum(xi1 * x + float(ym - xi1 * xm), floor)
+            order = T - t - 1
+            rates[:, t] = levels ** (1.0 / order) - 1.0 if order else levels - 1.0
         rates[:, T] = rates[:, T - 1]
         return cls(T=T, rates=rates, cum=cum)
 

@@ -19,14 +19,20 @@ flat current rate 1 + r + I_t, the convention of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .engine import SimulationInputs
 from .errors import DomainError, EstimatorError, ParameterError
 from .lsmc import _line_design, ceil_int, regress_now
-from .strategies import TargetFrame, TargetParams
+from .strategies import (
+    CumulativeTargetStrategy,
+    IndividualTargetStrategy,
+    StaticMixStrategy,
+    TargetFrame,
+    TargetParams,
+)
 
 __all__ = [
     "EvaluationReport",
@@ -40,20 +46,6 @@ __all__ = [
     "shortfall",
     "var",
 ]
-
-REPORT_COLUMNS = (
-    "strategy",
-    "mean",
-    "median",
-    "var5",
-    "var10",
-    "cvar5",
-    "cvar10",
-    "shortage",
-    "goal_reached",
-    "est_err_mean",
-    "est_err_std",
-)
 
 
 def _indexation(pi: np.ndarray) -> np.ndarray:
@@ -82,9 +74,26 @@ def replacement_ratio(w_T, M_T, salaries, inflations) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _terminal_rr(inputs: SimulationInputs, wealth: np.ndarray) -> np.ndarray:
+    """Replacement ratios of terminal wealth on the prepared inputs.
+
+    ``wealth`` holds one value per path, or a block with one row of them per
+    strategy; the indexed wage sum is computed once for the whole block.
+    """
+    T = inputs.T
+    return replacement_ratio(
+        wealth, inputs.market.M[:, T], inputs.salaries, inputs.scenarios.pi[:, : T + 1]
+    )
+
+
 def shortfall(rr, target: float):
     """Non-positive gap of the replacement ratio below the target."""
     return np.minimum(np.asarray(rr, dtype=float) - target, 0.0)
+
+
+def _shortage(rr: np.ndarray, target: float):
+    """Mean positive gap below the target, over the last axis of ``rr``."""
+    return np.mean(np.maximum(target - rr, 0.0), axis=-1)
 
 
 def _tail_count(samples: np.ndarray, alpha: float) -> int:
@@ -182,19 +191,22 @@ class ReplacementEstimators:
         self._den_cache[t] = den
         return den
 
-    def _future_growth(self, t: int, k: int) -> np.ndarray:
-        """(1 + r + I_t)^(T-k) per path: year k's growth to T seen from t.
+    def _grown_to_T(self, start: np.ndarray, t: int, last: int) -> np.ndarray:
+        """``start`` plus the projected contributions of years t+1..last,
+        each grown to T at (1 + r + I_t)^(T-k).
 
         The current expected inflation I_t stands in for every later year,
-        as in ``TargetFrame.growth_exp``.
+        as in ``TargetFrame.growth_exp``; year T's contribution is not grown.
         """
         T = self.inputs.T
-        if k == T:
-            return np.ones(self.inputs.n_paths)
         base = 1.0 + self.params.r + self.inputs.inflation.annual_rate(t)
         if np.any(base <= 0.0):
-            raise EstimatorError("projected target growth must stay positive")
-        return base ** (T - k)
+            raise EstimatorError("projected growth 1 + r + I_t must stay positive")
+        _, c_hat = self._projection(t)
+        total = start
+        for k in range(t + 1, last + 1):
+            total = total + c_hat[:, k - t] * (base ** (T - k) if k < T else 1.0)
+        return total
 
     # -- headline estimators -----------------------------------------------
 
@@ -207,15 +219,8 @@ class ReplacementEstimators:
         T = self.inputs.T
         if not 0 <= t <= T:
             raise ParameterError(f"t={t} outside 0..{T}")
-        wealth_t = np.asarray(wealth_t, dtype=float)
         base = 1.0 + self.params.r + self.inputs.inflation.annual_rate(t)
-        if np.any(base <= 0.0):
-            raise EstimatorError("expected growth must stay positive")
-        total = wealth_t * base ** (T - t)
-        _, c_hat = self._projection(t)
-        for k in range(t + 1, T):
-            total = total + c_hat[:, k - t] * self._future_growth(t, k)
-        return total
+        return self._grown_to_T(np.asarray(wealth_t, dtype=float) * base ** (T - t), t, T - 1)
 
     def expected_rr(self, wealth_t, t: int) -> np.ndarray:
         """Expected replacement ratio R_t given wealth at year t."""
@@ -229,12 +234,8 @@ class ReplacementEstimators:
         if not 0 <= t <= T:
             raise ParameterError(f"t={t} outside 0..{T}")
         frame = self.frame
-        pension = frame.acc[:, t] * frame.growth_exp[:, t]
-        _, c_hat = self._projection(t)
-        for k in range(t + 1, T + 1):
-            pension = pension + c_hat[:, k - t] * self._future_growth(t, k)
-        pension = pension / frame.m_tilde
-        return pension * (T + 1) / self.wage_denominator(t)
+        pension = self._grown_to_T(frame.acc[:, t] * frame.growth_exp[:, t], t, T)
+        return pension / frame.m_tilde * (T + 1) / self.wage_denominator(t)
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,9 @@ class EvaluationReport:
         return ",".join([self.strategy] + [repr(float(v)) for v in values])
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(EvaluationReport))
+
+
 def evaluate_strategy(
     inputs: SimulationInputs,
     strategy,
@@ -270,17 +274,11 @@ def evaluate_strategy(
     the mid-career estimator; the estimation error compares R_{T-lag}
     against the realized terminal ratio.
     """
-    T = inputs.T
     outcome = strategy.run(inputs)
-    rr = replacement_ratio(
-        outcome.terminal_wealth,
-        inputs.market.M[:, T],
-        inputs.salaries,
-        inputs.scenarios.pi[:, : T + 1],
-    )
+    rr = _terminal_rr(inputs, outcome.terminal_wealth)
     target = params.target_rr
     estimators = ReplacementEstimators(inputs, params)
-    t_est = max(T - estimation_lag, 0)
+    t_est = max(inputs.T - estimation_lag, 0)
     expected = estimators.expected_rr(outcome.wealth[:, t_est], t_est)
     diff = expected - rr
     return EvaluationReport(
@@ -291,7 +289,7 @@ def evaluate_strategy(
         var10=var(rr, 0.10),
         cvar5=cvar(rr, 0.05),
         cvar10=cvar(rr, 0.10),
-        shortage=float(np.mean(np.maximum(target - rr, 0.0))),
+        shortage=float(_shortage(rr, target)),
         goal_reached=float(np.mean(rr >= target)),
         est_err_mean=float(np.mean(np.abs(diff))),
         est_err_std=float(np.std(diff, ddof=1)) if diff.size > 1 else 0.0,
@@ -309,6 +307,15 @@ class FrontierRow:
         return f"{self.family},{self.param!r},{self.shortfall!r},{self.cvar10!r}"
 
 
+# frontier family -> its strategy at one grid parameter, given the
+# TargetParams maker: a mix for static, a required return for the target rules
+_FRONTIER_FAMILIES = {
+    "static": lambda param, target: StaticMixStrategy(mix=param),
+    "cumulative": lambda param, target: CumulativeTargetStrategy(target(param)),
+    "individual": lambda param, target: IndividualTargetStrategy(target(param)),
+}
+
+
 def frontier(
     inputs: SimulationInputs,
     families: dict,
@@ -323,39 +330,24 @@ def frontier(
     returns for the target families.  Rows come back sorted by family
     name, then parameter.
     """
-    from .strategies import CumulativeTargetStrategy, IndividualTargetStrategy, StaticMixStrategy
-
-    rows = []
+    specs = []
     for family in sorted(families):
+        if family not in _FRONTIER_FAMILIES:
+            raise ParameterError(f"unknown strategy family {family!r}")
         grid = np.sort(np.asarray(families[family], dtype=float))
         if grid.size == 0:
             raise ParameterError(f"empty parameter grid for family {family!r}")
-        for param in grid:
-            if family == "static":
-                strategy = StaticMixStrategy(mix=float(param))
-            elif family == "cumulative":
-                strategy = CumulativeTargetStrategy(
-                    TargetParams(r=float(param), delta=delta, N=N, T=inputs.T, target_rr=target_rr)
-                )
-            elif family == "individual":
-                strategy = IndividualTargetStrategy(
-                    TargetParams(r=float(param), delta=delta, N=N, T=inputs.T, target_rr=target_rr)
-                )
-            else:
-                raise ParameterError(f"unknown strategy family {family!r}")
-            outcome = strategy.run(inputs)
-            rr = replacement_ratio(
-                outcome.terminal_wealth,
-                inputs.market.M[:, inputs.T],
-                inputs.salaries,
-                inputs.scenarios.pi[:, : inputs.T + 1],
-            )
-            rows.append(
-                FrontierRow(
-                    family=family,
-                    param=float(param),
-                    shortfall=float(np.mean(np.maximum(target_rr - rr, 0.0))),
-                    cvar10=cvar(rr, 0.10),
-                )
-            )
-    return rows
+        specs += [(family, float(param)) for param in grid]
+
+    def target(r: float) -> TargetParams:
+        return TargetParams(r=r, delta=delta, N=N, T=inputs.T, target_rr=target_rr)
+
+    terminal = np.empty((len(specs), inputs.n_paths))
+    for i, (family, param) in enumerate(specs):
+        terminal[i] = _FRONTIER_FAMILIES[family](param, target).run(inputs).terminal_wealth
+    rr = _terminal_rr(inputs, terminal)
+    shortage = _shortage(rr, target_rr)
+    return [
+        FrontierRow(family=family, param=param, shortfall=float(short), cvar10=cvar(row, 0.10))
+        for (family, param), short, row in zip(specs, shortage, rr)
+    ]

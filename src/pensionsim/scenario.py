@@ -12,14 +12,13 @@ curve of annually compounded spot rates at integer pillar maturities m is
     r^m = level + slope * ln(m / reference_maturity).
 
 Each path draws from an independent RNG substream keyed by ``(seed, path)``,
-so generation order (and any parallel chunking) cannot change the result.
+so a smaller run is a prefix of a larger one under the same seed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +155,6 @@ class ScenarioSet:
     w: np.ndarray
     curves: np.ndarray
     wage_spread: float = 0.005
-    seed: int | None = None
-    provenance: str = "generated"
 
     def __post_init__(self) -> None:
         shape = (self.n_paths, self.horizon + 1)
@@ -203,7 +200,6 @@ def simulate(
     n_paths: int,
     horizon: int,
     seed: int,
-    threads: int = 1,
 ) -> ScenarioSet:
     """Generate a ScenarioSet from the VAR(1) surrogate model.
 
@@ -215,12 +211,6 @@ def simulate(
         Panel dimensions; years run 0..horizon inclusive.
     seed : int
         Master seed; path p consumes the substream keyed by (seed, p).
-    threads : int
-        Worker threads for noise generation.  Purely a throughput hint: the
-        per-path substreams make the output independent of the thread count.
-        The CLI's ``threads`` setting feeds this and also sets the worker
-        processes for the combination strategy's tranche solves, which
-        never changes results either.
     """
     if n_paths < 1:
         raise ParameterError("n_paths must be >= 1")
@@ -234,19 +224,8 @@ def simulate(
     l_innov = _psd_factor(params.innovation_covariance(), "innovation covariance")
 
     noise = np.empty((n_paths, horizon + 1, 4))
-
-    def fill(lo: int, hi: int) -> None:
-        for p in range(lo, hi):
-            rng = np.random.default_rng([seed, p])
-            noise[p] = rng.standard_normal((horizon + 1, 4))
-
-    workers = max(1, int(threads))
-    if workers == 1 or n_paths < 2 * workers:
-        fill(0, n_paths)
-    else:
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda i: fill(bounds[i], bounds[i + 1]), range(workers)))
+    for p in range(n_paths):
+        noise[p] = np.random.default_rng([seed, p]).standard_normal((horizon + 1, 4))
 
     state = np.empty((n_paths, horizon + 1, 4))
     state[:, 0] = mu + noise[:, 0] @ l_stat.T
@@ -268,8 +247,6 @@ def simulate(
         w=w,
         curves=curves,
         wage_spread=params.wage_spread,
-        seed=seed,
-        provenance="generated",
     )
 
 
@@ -309,7 +286,8 @@ def ingest(path: str, wage_spread: float = 0.005) -> ScenarioSet:
     """Read a scenario CSV produced by :func:`export_csv` (or hand-written).
 
     The ``w`` column is optional; when absent it is reconstructed as
-    ``pi + wage_spread``.  Pillar columns must be contiguous ``r1..rK``.
+    ``pi + wage_spread``.  Pillar columns must be contiguous ``r1..rK``, and
+    ``path`` and ``t`` must hold whole numbers.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header_line = fh.readline()
@@ -336,8 +314,10 @@ def ingest(path: str, wage_spread: float = 0.005) -> ScenarioSet:
     if unknown:
         raise SchemaError(f"{path}: unknown column '{unknown[0]}'")
 
-    path_ids = data[:, cols["path"]].astype(int)
-    years = data[:, cols["t"]].astype(int)
+    keys = data[:, [cols["path"], cols["t"]]]
+    if not np.all(np.isfinite(keys) & (keys == np.floor(keys))):
+        raise SchemaError(f"{path}: path and t must be whole numbers")
+    path_ids, years = keys.astype(int).T
     ids = np.unique(path_ids)
     n = len(ids)
     if not np.array_equal(ids, np.arange(n)):
@@ -374,8 +354,6 @@ def ingest(path: str, wage_spread: float = 0.005) -> ScenarioSet:
         w=w,
         curves=curves,
         wage_spread=wage_spread,
-        seed=None,
-        provenance="ingested",
     )
 
 
@@ -419,19 +397,6 @@ class MomentReport:
 
     def corr(self, a: str, b: str) -> float:
         return float(self.correlation[self.names.index(a), self.names.index(b)])
-
-    def format(self) -> str:
-        lines = [f"{'variable':<8} {'mean':>10} {'std':>10}"]
-        for i, name in enumerate(self.names):
-            lines.append(f"{name:<8} {self.means[i]:>10.4f} {self.stds[i]:>10.4f}")
-        lines.append("")
-        lines.append("correlations:")
-        head = " " * 8 + "".join(f"{n:>8}" for n in self.names)
-        lines.append(head)
-        for i, name in enumerate(self.names):
-            row = "".join(f"{self.correlation[i, j]:>8.3f}" for j in range(len(self.names)))
-            lines.append(f"{name:<8}{row}")
-        return "\n".join(lines)
 
     def csv_lines(self) -> list[str]:
         lines = ["stat,a,b,value"]

@@ -384,7 +384,7 @@ class IndividualTargetStrategy:
 
 def optimize_static_mix(inputs: SimulationInputs, grid, target_rr: float = 0.70) -> float:
     """Grid point minimizing mean shortfall; ties go to the smaller mix."""
-    from .metrics import replacement_ratio, shortfall
+    from .metrics import _shortage, _terminal_rr
 
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
@@ -398,13 +398,5 @@ def optimize_static_mix(inputs: SimulationInputs, grid, target_rr: float = 0.70)
     wealth = np.broadcast_to(c[:, 0], (grid.size, inputs.n_paths)).copy()
     for t in range(1, T + 1):
         wealth = _grown(wealth, mixes, x[:, t], m[:, t]) + c[:, t]
-    scores = np.empty(grid.size)
-    for i in range(grid.size):
-        rr = replacement_ratio(
-            wealth[i],
-            inputs.market.M[:, -1],
-            inputs.salaries,
-            inputs.scenarios.pi[:, : inputs.T + 1],
-        )
-        scores[i] = float(np.mean(shortfall(rr, target_rr)))
-    return float(grid[int(np.argmax(scores))])
+    shortage = _shortage(_terminal_rr(inputs, wealth), target_rr)
+    return float(grid[int(np.argmin(shortage))])

@@ -112,6 +112,33 @@ def test_range_validation(tmp_path):
         cli.parse_config(write_config(tmp_path, "strategy.glide_end = 1.5\n"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "report.static_grid_step = 0.3\n",
+        "frontier.mix_step = 3\n",
+        "frontier.mix_step = 0.15\n",
+        "frontier.r_step = 0.03\n",
+        "frontier.r_min = 0.01\nfrontier.r_max = 0.02\nfrontier.r_step = 0.004\n",
+    ],
+)
+def test_grid_step_must_divide_its_span(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="does not divide its span"):
+        cli.parse_config(path)
+    assert cli.main(["frontier", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "does not divide" in capsys.readouterr().err
+
+
+def test_dividing_grid_steps_are_accepted(tmp_path):
+    for text in (
+        "report.static_grid_step = 0.05\nfrontier.mix_step = 0.25\n",
+        "frontier.r_min = 0.01\nfrontier.r_max = 0.04\nfrontier.r_step = 0.001\n",
+        "frontier.r_min = 0.02\nfrontier.r_max = 0.02\n",
+    ):
+        cli.parse_config(write_config(tmp_path, text))
+
+
 def test_missing_config_file_reports_path(tmp_path):
     missing = str(tmp_path / "nope.cfg")
     with pytest.raises(ConfigError, match="cannot read config"):
@@ -273,19 +300,19 @@ def test_glide_paths_follow_career_file_ages(tmp_path, kind):
 def test_zero_threads_counts_usable_cores(tmp_path, monkeypatch):
     seen = []
 
-    def simulate(params, n_paths, horizon, seed, threads=1):
+    def combination(*args, threads, **kwargs):
         seen.append(threads)
         raise ConfigError("stop")
 
-    monkeypatch.setattr(cli, "simulate", simulate)
-    cfg = cli.parse_config(write_config(tmp_path, SMALL))
+    monkeypatch.setattr(cli, "CombinationStrategy", combination)
+    cfg = cli.parse_config(write_config(tmp_path, SMALL + "strategy.kind = combination\n"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     with pytest.raises(ConfigError):
-        cli.run(cfg, "simulate", str(tmp_path / "a"), threads=0)
+        cli.run(cfg, "evaluate", str(tmp_path / "a"), threads=0)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     with pytest.raises(ConfigError):
-        cli.run(cfg, "simulate", str(tmp_path / "b"), threads=0)
+        cli.run(cfg, "evaluate", str(tmp_path / "b"), threads=0)
     assert seen == [3, 64]
 
 

@@ -9,7 +9,6 @@ from conftest import flat_params
 from pensionsim import (
     InflationEstimator,
     LoessModel,
-    expected_inflation,
     ingest,
     loess_batch,
     loess_eval,
@@ -276,31 +275,23 @@ def test_expected_inflation_zero_world(flat_inputs):
 
 def test_expected_inflation_two_path_oracle(tmp_path):
     s = _panel_from_inflation(tmp_path, [(0.0, 0.01, 0.03), (0.0, 0.05, -0.02)])
-    fit1 = expected_inflation(s, 1, 2)
+    est = InflationEstimator.fit(s, 2)
     # two points fit exactly: rate at t=1 is next year's realized inflation
-    np.testing.assert_allclose(fit1.xi1, (0.98 - 1.03) / (1.05 - 1.01), rtol=1e-12)
-    np.testing.assert_allclose(fit1.rates, [0.03, -0.02], rtol=1e-12)
+    np.testing.assert_allclose(est.rates[:, 1], [0.03, -0.02], rtol=1e-12)
+    slope = np.diff(est.rates[:, 1]) / np.diff(est.cum[:, 1])
+    np.testing.assert_allclose(slope, (0.98 - 1.03) / (1.05 - 1.01), rtol=1e-12)
 
-    fit0 = expected_inflation(s, 0, 2)
+    # a constant regressor at t=0 engages the intercept-only fit
     mean_level = 0.5 * (1.01 * 1.03 + 1.05 * 0.98)
-    assert fit0.xi1 == 0.0  # constant regressor engages intercept-only fit
-    np.testing.assert_allclose(fit0.rates, mean_level - 1.0, rtol=1e-12)
+    assert est.rates[0, 0] == est.rates[1, 0]
+    np.testing.assert_allclose(est.rates[:, 0], mean_level - 1.0, rtol=1e-12)
 
 
 def test_expected_inflation_floor():
     s = simulate(flat_params(mean_pi=-0.3), 2, 4, seed=2)
-    fit = expected_inflation(s, 0, 4, floor=0.5)
+    est = InflationEstimator.fit(s, 4, floor=0.5)
     # deterministic level 0.7^4 < 0.5 engages the floor before the root
-    np.testing.assert_allclose(fit.rates, 0.5 ** (1.0 / 3.0) - 1.0, rtol=1e-12)
-
-
-def test_estimator_table_matches_single_year_fits(small_inputs):
-    s = small_inputs.scenarios
-    est = small_inputs.inflation
-    for t in (0, 3, est.T - 1):
-        np.testing.assert_allclose(
-            est.rates[:, t], expected_inflation(s, t, est.T).rates, rtol=0, atol=0
-        )
+    np.testing.assert_allclose(est.rates[:, 0], 0.5 ** (1.0 / 3.0) - 1.0, rtol=1e-12)
 
 
 def test_estimator_rates_keep_growth_positive(default_inputs):
@@ -310,8 +301,8 @@ def test_estimator_rates_keep_growth_positive(default_inputs):
 def test_expected_inflation_domain():
     s = simulate(flat_params(mean_pi=0.02), 2, 4, seed=1)
     with pytest.raises(DomainError):
-        expected_inflation(s, 4, 4)
+        InflationEstimator.fit(s, 4).annual_rate(5)
     with pytest.raises(DomainError):
-        expected_inflation(s, 0, 5)
+        InflationEstimator.fit(s, 5)
     with pytest.raises(DomainError):
         InflationEstimator.fit(s, 0)

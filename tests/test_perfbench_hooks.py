@@ -52,3 +52,17 @@ def test_layer_hooks_patch_and_restore_the_originals(monkeypatch):
         assert set(vars(owner)) == set(names)
         for name, value in names.items():
             assert vars(owner)[name] is value, (owner, name)
+
+
+def test_setup_samples_build_inputs_with_positional_threads(tmp_path, monkeypatch):
+    # traced.setup_main calls cli._build_inputs(cfg, seed, threads) positionally,
+    # and workloads.check_outputs calls cli._build_scenarios the same way
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import traced
+    import workloads
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text("n_paths = 40\nhorizon = 4\nannuity.T = 4\n", encoding="utf-8")
+    assert traced.setup_main(str(config), 3, 2) == 0
+    cfg = cli.parse_config(str(config))
+    assert workloads.same_sets(cli._build_scenarios(cfg, 3, 2), cli._build_scenarios(cfg, 3, 1))

@@ -32,13 +32,6 @@ def test_prefix_paths_are_a_subset():
     assert np.array_equal(big.curves[:4], small.curves)
 
 
-def test_thread_count_does_not_change_results():
-    a = simulate(ModelParams(), 40, 10, seed=9, threads=1)
-    b = simulate(ModelParams(), 40, 10, seed=9, threads=4)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.curves, b.curves)
-
-
 def test_zero_volatility_paths_are_constant():
     s = simulate(flat_params(mean_x=0.04), 3, 6, seed=1)
     np.testing.assert_allclose(s.x, 0.04, rtol=0, atol=1e-15)
@@ -113,9 +106,6 @@ def test_moment_report_hand_panel(tmp_path):
 
 def test_moment_report_output_round_trip(tmp_path, default_set):
     rep = summarize(default_set)
-    text = rep.format()
-    for name in ("x", "r10", "pi", "w"):
-        assert name in text
     out = tmp_path / "moments.csv"
     rep.write_csv(out)
     assert out.read_text().splitlines() == list(rep.csv_lines())
@@ -187,6 +177,23 @@ def test_ingest_ragged_paths(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ShapeError, match="path 1"):
+        ingest(path)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ("0,0", "0,1", "1.7,0", "1.7,1.9"),
+        ("0,0", "0,0.5", "1,0", "1,1"),
+    ],
+)
+def test_ingest_rejects_fractional_path_and_year(tmp_path, keys):
+    # truncated to integers, either panel would load as two paths over years 0..1
+    hdr = "path,t,x,pi," + ",".join(f"r{k}" for k in range(1, 31))
+    tail = ",0.05,0.02," + ",".join("0.03" for _ in range(30))
+    path = tmp_path / "frac.csv"
+    path.write_text("\n".join([hdr] + [k + tail for k in keys]) + "\n")
+    with pytest.raises(SchemaError, match="whole numbers"):
         ingest(path)
 
 
