@@ -36,7 +36,6 @@ processes.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,10 +273,13 @@ class PolicyModel:
         nodes, curves = self.z_nodes[i], self.curves[i]
         return np.stack([np.interp(z, nodes, c) for c in curves])
 
+    def choice_at(self, t: int, z) -> np.ndarray:
+        """Grid index of the optimal allocation at time t for ratios z (ties go low)."""
+        return np.argmax(self.expected_utilities(t, z), axis=0)
+
     def alpha_at(self, t: int, z) -> np.ndarray:
         """Optimal grid allocation at time t for ratios z (ties go low)."""
-        vals = self.expected_utilities(t, z)
-        return self.grid[np.argmax(vals, axis=0)]
+        return self.grid[self.choice_at(t, z)]
 
     def decision_table(self) -> list:
         """(t, z, alpha) rows sampled on the stored z-node grids."""
@@ -296,11 +298,7 @@ class PolicyModel:
 
 def export_policy_csv(policy: PolicyModel) -> str:
     """Render the sampled decision map as ``t,z,alpha`` CSV text."""
-    buf = io.StringIO()
-    buf.write("t,z,alpha\n")
-    for t, z, a in policy.decision_table():
-        buf.write(f"{t},{z!r},{a!r}\n")
-    return buf.getvalue()
+    return "t,z,alpha\n" + "".join(f"{t},{z!r},{a!r}\n" for t, z, a in policy.decision_table())
 
 
 class _SnakeSolver:
@@ -476,10 +474,9 @@ class CombinationStrategy:
     ``per-contribution`` mode re-solves the program for each tranche and
     uses its in-sample decisions; ``shared`` mode solves once for the first
     tranche and evaluates that policy's curves at every tranche's ratio.
-    Either way the run fills the whole ``tranche_alpha`` panel first and then
-    grows the tranches along it with the tranche kernel
-    :func:`~pensionsim.strategies._run_tranches`, the one the individual
-    rule uses.
+    Either way the tranche kernel :func:`~pensionsim.strategies._run_tranches`,
+    the one the individual rule uses, grows the tranches on their grid
+    indices year by year; a last index, 0.0, converts them all at T.
 
     ``threads`` is the number of worker processes for the independent
     per-contribution tranche solves.  Above one, the tranches born at
@@ -534,29 +531,28 @@ class CombinationStrategy:
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
-        T, n = inputs.T, inputs.n_paths
+        T = inputs.T
         x, m = inputs.scenarios.x, inputs.market.m
         factors = _step_factors(inputs, frame, self.cfg)
-        grid = np.asarray(self.cfg.grid, dtype=float)
         if self.mode == "per-contribution":
-            # solved before the panel exists, so forked workers do not copy it
+            # decisions[tau][t - tau]: grid indices of the tranche born at tau
             decisions = self._tranche_decisions(inputs, frame, factors)
+
+            def choose(t):
+                return np.stack([decisions[tau][t - tau] for tau in range(t + 1)], axis=1)
         else:
             policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
+            z = frame.z0(slice(None))
 
-        # allocation of the tranche born at tau, decided at time t:
-        # tranche_alpha[:, t, tau]; NaN before birth, zero at conversion
-        tranche_alpha = np.full((n, T + 1, T + 1), np.nan)
-        for tau in range(T):
-            if self.mode == "per-contribution":
-                tranche_alpha[:, tau:T, tau] = grid[decisions[tau]].T
-                continue
-            z = frame.z0(tau)
-            for t in range(tau, T):
-                a = policy.alpha_at(t, z)
-                tranche_alpha[:, t, tau] = a
-                z = z_step(z, a, x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
-        tranche_alpha[:, T, :] = 0.0
+            def choose(t):
+                born = z[:, : t + 1]
+                idx = policy.choice_at(t, born)
+                a, er = policy.grid[idx], frame.er[:, t + 1, None]
+                born[...] = z_step(born, a, x[:, t + 1, None], m[:, t + 1, None], er)
+                return idx
+
+        conversion = len(self.cfg.grid)
+        values = np.append(self.cfg.grid, 0.0)
         return _run_tranches(
-            self.label, inputs, tranche_alpha, lambda t, live: tranche_alpha[:, t, : t + 1]
+            self.label, inputs, values, lambda t, live: conversion if t == T else choose(t)
         )

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ParameterError, SchemaError, ShapeError
 
 __all__ = [
-    "VARIABLES",
     "ModelParams",
     "ScenarioSet",
     "MomentReport",
@@ -35,9 +34,6 @@ __all__ = [
     "export_csv",
     "summarize",
 ]
-
-#: order of the core state vector
-VARIABLES = ("x", "pi", "level", "slope")
 
 # Growth factors (1+x, 1+pi, 1+r^m) must stay positive for compounding;
 # Gaussian tails are floored just above -100% (a >5-sigma event at defaults).
@@ -236,7 +232,9 @@ def simulate(
     pi = np.maximum(state[..., 1], _GROWTH_FLOOR)
     w = pi + params.wage_spread
     loadings = params.curve_loadings()
-    curves = state[..., 2, None] + state[..., 3, None] * loadings
+    # level + slope * loadings, with one (paths, years, pillars) array, not two
+    curves = state[..., 3, None] * loadings
+    curves += state[..., 2, None]
     np.maximum(curves, _GROWTH_FLOOR, out=curves)
 
     return ScenarioSet(
@@ -263,23 +261,14 @@ def export_csv(scenarios: ScenarioSet, path: str) -> None:
     """Write the set to ``path`` in the scenario CSV schema."""
     npil = scenarios.n_pillars
     header = "path,t,x,pi,w," + ",".join(f"r{m}" for m in range(1, npil + 1))
-    buf = io.StringIO()
-    buf.write(header)
-    buf.write("\n")
-    for p in range(scenarios.n_paths):
-        for t in range(scenarios.horizon + 1):
-            cells = [
-                str(p),
-                str(t),
-                repr(float(scenarios.x[p, t])),
-                repr(float(scenarios.pi[p, t])),
-                repr(float(scenarios.w[p, t])),
-            ]
-            cells.extend(repr(float(v)) for v in scenarios.curves[p, t])
-            buf.write(",".join(cells))
-            buf.write("\n")
+    columns = (scenarios.x[..., None], scenarios.pi[..., None], scenarios.w[..., None])
+    panel = np.concatenate(columns + (scenarios.curves,), axis=2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(header + "\n")
+        for p in range(scenarios.n_paths):
+            # Python floats, so each cell is the shortest round-trip repr
+            for t, row in enumerate(panel[p].tolist()):
+                fh.write(f"{p},{t}," + ",".join(map(repr, row)) + "\n")
 
 
 def ingest(path: str, wage_spread: float = 0.005) -> ScenarioSet:

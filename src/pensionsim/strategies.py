@@ -14,14 +14,15 @@ into the matching portfolio permanently once its target has been reached.
 Wealth grows by one rule, alpha (1 + x) + (1 - alpha) (1 + m) plus the
 year's contribution, in one of two shapes.  ``_accumulate`` keeps one pot
 per path (static mixes, glide paths, the cumulative rule); ``_run_tranches``
-keeps one pot per contribution tranche along a ``tranche_alpha`` panel (the
-individual rule and the DP combination strategy).  Each runner only says how
-alpha is chosen.
+keeps one pot per contribution tranche, each at one of a few allocation
+values (the individual rule and the DP combination strategy).  Each runner
+only says how alpha is chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -227,7 +228,7 @@ class TargetFrame:
         return scale[:, None] * self.contributions[:, : t + 1] * ratios
 
     def z0(self, tau: int) -> np.ndarray:
-        """Initial wealth-to-target ratio of a tranche born at tau."""
+        """Initial wealth-to-target ratio of a tranche born at tau (or a slice of years)."""
         return self.m_tilde / (self.M[:, tau] * self.growth_exp[:, tau])
 
 
@@ -258,17 +259,29 @@ class StrategyOutcome:
     ``wealth[:, t]`` includes the year-t contribution (decision-time
     wealth); ``alpha[:, t]`` is the fraction chosen at t for the year
     ahead.  ``tranche_alpha[p, t, tau]`` (when tracked) is the allocation
-    of the tranche born at tau, NaN before its birth.
+    of the tranche born at tau, NaN before its birth, built on first read
+    from the ``tranches = (values, record)`` of :func:`_run_tranches`.
     """
 
     label: str
     wealth: np.ndarray
     alpha: np.ndarray
-    tranche_alpha: np.ndarray | None = None
+    tranches: tuple | None = field(default=None, repr=False)
 
     @property
     def terminal_wealth(self) -> np.ndarray:
         return self.wealth[:, -1]
+
+    @cached_property
+    def tranche_alpha(self) -> np.ndarray | None:
+        if self.tranches is None:
+            return None
+        values, record = self.tranches
+        n, years = self.wealth.shape
+        # the record holds the tau <= t cells of a (t, path, tau) panel, in order
+        panel = np.full((years, n, years), np.nan)
+        panel[np.broadcast_to(np.tri(years, dtype=bool)[:, None], panel.shape)] = values[record]
+        return panel.transpose(1, 0, 2)
 
 
 def _grown(wealth, alpha, x_t, m_t):
@@ -293,33 +306,37 @@ def _accumulate(inputs: SimulationInputs, decide):
     return wealth, alpha
 
 
-def _run_tranches(label: str, inputs: SimulationInputs, tranche_alpha, decide) -> StrategyOutcome:
-    """One pot per contribution tranche, grown along ``tranche_alpha``.
+def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> StrategyOutcome:
+    """One pot per contribution tranche, each held at one of ``values``.
 
-    ``tranche_alpha`` is the (n_paths, T + 1, T + 1) panel of the outcome.
-    Row t is set to ``decide(t, live)`` before it is read, where ``live``
-    holds the decision-time wealth of the tranches born up to t.  The
-    aggregate alpha is the wealth-weighted tranche allocation, 0 where the
-    path holds no wealth.
+    ``decide(t, live)`` returns the indices into ``values`` of the tranches
+    born up to t, where ``live`` holds their decision-time wealth; ``record``
+    keeps them laid out (t, path, tau), in the narrowest unsigned type that
+    holds every index.  The aggregate alpha is the wealth-weighted tranche
+    allocation, 0 where the path holds no wealth.
     """
     T, n = inputs.T, inputs.n_paths
     x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
+    values = np.asarray(values, dtype=float)
+    record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
+    start = 0
     tranche_wealth = np.zeros((n, T + 1))
     wealth = np.empty((n, T + 1))
     alpha = np.empty((n, T + 1))
     for t in range(T + 1):
         if t > 0:
-            tranche_wealth[:, :t] = _grown(
-                tranche_wealth[:, :t], tranche_alpha[:, t - 1, :t], x[:, t, None], m[:, t, None]
-            )
+            tranche_wealth[:, :t] = _grown(tranche_wealth[:, :t], row, x[:, t, None], m[:, t, None])
         tranche_wealth[:, t] = c[:, t]
         live = tranche_wealth[:, : t + 1]
-        tranche_alpha[:, t, : t + 1] = decide(t, live)
+        idx = record[start : start + n * (t + 1)].reshape(n, t + 1)
+        idx[...] = decide(t, live)
+        start += idx.size
+        row = values[idx]
         wealth[:, t] = live.sum(axis=1)
-        weighted = (live * tranche_alpha[:, t, : t + 1]).sum(axis=1)
+        weighted = (live * row).sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
-    return StrategyOutcome(label=label, wealth=wealth, alpha=alpha, tranche_alpha=tranche_alpha)
+    return StrategyOutcome(label=label, wealth=wealth, alpha=alpha, tranches=(values, record))
 
 
 @dataclass(frozen=True)
@@ -371,15 +388,13 @@ class IndividualTargetStrategy:
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
-        T, n = inputs.T, inputs.n_paths
-        absorbed = np.zeros((n, T + 1), dtype=bool)
+        absorbed = np.zeros((inputs.n_paths, inputs.T + 1), dtype=bool)
 
         def decide(t, live):
             absorbed[:, : t + 1] |= live >= frame.tranche_targets(t)
-            return np.where(absorbed[:, : t + 1], 0.0, 1.0)
+            return ~absorbed[:, : t + 1]
 
-        tranche_alpha = np.full((n, T + 1, T + 1), np.nan)
-        return _run_tranches(self.label, inputs, tranche_alpha, decide)
+        return _run_tranches(self.label, inputs, (0.0, 1.0), decide)
 
 
 def optimize_static_mix(inputs: SimulationInputs, grid, target_rr: float = 0.70) -> float:

@@ -22,6 +22,43 @@ def flat_params(mean_x=0.04, mean_pi=0.0, mean_level=0.0, wage_spread=0.0):
     )
 
 
+def dense_tranche_run(inputs, decide):
+    """Reference tranche kernel on a dense NaN-filled float panel.
+
+    ``decide(t, live)`` returns the allocations (not indices) of the
+    tranches born up to t.  Returns ``(wealth, alpha, tranche_alpha)`` with
+    every product and sum in the order the package's kernel uses.
+    """
+    T, n = inputs.T, inputs.n_paths
+    x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
+    panel = np.full((n, T + 1, T + 1), np.nan)
+    tranche_wealth = np.zeros((n, T + 1))
+    wealth = np.empty((n, T + 1))
+    alpha = np.empty((n, T + 1))
+    for t in range(T + 1):
+        if t > 0:
+            a = panel[:, t - 1, :t]
+            tranche_wealth[:, :t] = tranche_wealth[:, :t] * (
+                a * (1.0 + x[:, t, None]) + (1.0 - a) * (1.0 + m[:, t, None])
+            )
+        tranche_wealth[:, t] = c[:, t]
+        live = tranche_wealth[:, : t + 1]
+        panel[:, t, : t + 1] = decide(t, live)
+        wealth[:, t] = live.sum(axis=1)
+        weighted = (live * panel[:, t, : t + 1]).sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
+    return wealth, alpha, panel
+
+
+def assert_same_run(outcome, reference):
+    """An outcome equals a ``dense_tranche_run`` result bit for bit."""
+    wealth, alpha, panel = reference
+    assert np.array_equal(outcome.wealth, wealth)
+    assert np.array_equal(outcome.alpha, alpha)
+    assert np.array_equal(outcome.tranche_alpha, panel, equal_nan=True)
+
+
 @pytest.fixture(scope="session")
 def default_set():
     """2000 paths x 41 years at default calibration; treat as read-only."""

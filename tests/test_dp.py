@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_params
+from conftest import assert_same_run, dense_tranche_run, flat_params
 from pensionsim import (
     CombinationStrategy,
     DpConfig,
@@ -387,6 +387,40 @@ def test_combination_shared_mode(tiny_inputs):
     assert outcome.wealth.shape == (60, 9)
     assert (outcome.wealth[:, -1] > 0).all()
     assert np.isin(outcome.tranche_alpha[:, :8, 0][~np.isnan(outcome.tranche_alpha[:, :8, 0])], cfg.grid).all()
+
+
+def test_combination_converts_at_T_on_a_grid_without_zero(tiny_inputs):
+    cfg = DpConfig(grid=(0.2, 0.6, 1.0), curve_points=41)
+    outcome = CombinationStrategy(_params(8), cfg=cfg).run(tiny_inputs)
+    T = tiny_inputs.T
+    assert np.all(outcome.tranche_alpha[:, T, :] == 0.0)
+    assert np.all(outcome.alpha[:, T] == 0.0)
+    assert np.isin(outcome.tranche_alpha[:, :T][~np.isnan(outcome.tranche_alpha[:, :T])], cfg.grid).all()
+
+
+@pytest.mark.parametrize("mode", ["per-contribution", "shared"])
+def test_combination_run_equals_dense_reference(small_inputs, mode):
+    # the panel filled first, as the run once did, then grown densely
+    T = small_inputs.T
+    cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
+    params = _params(T)
+    frame = TargetFrame.build(small_inputs, params)
+    x, m = small_inputs.scenarios.x, small_inputs.market.m
+    grid = np.asarray(cfg.grid)
+    full = np.full((small_inputs.n_paths, T + 1, T + 1), np.nan)
+    policy = solve_policy(small_inputs, frame, cfg, tau=0)
+    for tau in range(T):
+        if mode == "per-contribution":
+            full[:, tau:T, tau] = grid[solve_policy(small_inputs, frame, cfg, tau=tau).decisions].T
+            continue
+        z = frame.z0(tau)
+        for t in range(tau, T):
+            full[:, t, tau] = policy.alpha_at(t, z)
+            z = z_step(z, full[:, t, tau], x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
+    full[:, T, :] = 0.0
+    reference = dense_tranche_run(small_inputs, lambda t, live: full[:, t, : t + 1])
+    outcome = CombinationStrategy(params, cfg=cfg, mode=mode).run(small_inputs)
+    assert_same_run(outcome, reference)
 
 
 def test_combination_rejects_unknown_mode():

@@ -13,6 +13,7 @@ import pensionsim
 import pensionsim.cli as cli
 import pensionsim.dp as dp
 import pensionsim.engine as engine
+from pensionsim import CombinationStrategy, DpConfig, IndividualTargetStrategy, TargetParams
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -66,3 +67,22 @@ def test_setup_samples_build_inputs_with_positional_threads(tmp_path, monkeypatc
     assert traced.setup_main(str(config), 3, 2) == 0
     cfg = cli.parse_config(str(config))
     assert workloads.same_sets(cli._build_scenarios(cfg, 3, 2), cli._build_scenarios(cfg, 3, 1))
+
+
+def test_package_outcomes_pass_the_tranche_oracles(small_inputs, monkeypatch):
+    # the oracles read ``outcome.tranche_alpha``; a break in that contract
+    # fails here, not only in a benchmark run
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import oracles
+    import workloads
+
+    p = workloads.panels(small_inputs)
+    params = TargetParams(r=0.02, T=small_inputs.T)
+    individual = IndividualTargetStrategy(params).run(small_inputs)
+    assert oracles.check_individual(individual.tranche_alpha) == []
+    cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
+    for mode in ("per-contribution", "shared"):
+        outcome = CombinationStrategy(params, cfg=cfg, mode=mode).run(small_inputs)
+        assert oracles.check_combination(
+            outcome.terminal_wealth, outcome.tranche_alpha, p["x"], p["m"], p["c"]
+        ) == []

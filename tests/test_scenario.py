@@ -116,6 +116,27 @@ def test_rates_pillars_match_curves(default_set):
     assert np.array_equal(got, default_set.curves[:, 3, :])
 
 
+def test_curves_equal_level_plus_slope_times_loadings():
+    # the VAR(1) state rebuilt here; simulate builds the curves in place,
+    # and they must equal the two-temporary expression bit for bit
+    from pensionsim.scenario import _GROWTH_FLOOR, _psd_factor
+
+    params, n, horizon, seed = ModelParams(), 30, 6, 5
+    mu, phi = params.means(), params.ars()
+    l_stat = _psd_factor(params.stationary_covariance(), "stationary")
+    l_innov = _psd_factor(params.innovation_covariance(), "innovation")
+    noise = np.stack(
+        [np.random.default_rng([seed, p]).standard_normal((horizon + 1, 4)) for p in range(n)]
+    )
+    state = np.empty((n, horizon + 1, 4))
+    state[:, 0] = mu + noise[:, 0] @ l_stat.T
+    for t in range(1, horizon + 1):
+        state[:, t] = mu + (state[:, t - 1] - mu) * phi + noise[:, t] @ l_innov.T
+    old = state[..., 2, None] + state[..., 3, None] * params.curve_loadings()
+    expected = np.maximum(old, _GROWTH_FLOOR)
+    assert np.array_equal(simulate(params, n, horizon, seed).curves, expected)
+
+
 def test_rates_interpolation_and_extrapolation(default_set):
     s = default_set
     mid = s.rates(2, [2.5])[:, 0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import flat_params
+from conftest import assert_same_run, dense_tranche_run, flat_params
 from pensionsim import (
     CombinationStrategy,
     CumulativeTargetStrategy,
@@ -288,15 +288,60 @@ def test_individual_run_tranche_switches_once(small_inputs):
 def test_tranche_kernel_at_one_mix_equals_static_run(small_inputs, a):
     # tranches held at one mix grow like the aggregate pot, and the
     # wealth-weighted aggregate allocation is that mix
-    T, n = small_inputs.T, small_inputs.n_paths
-    panel = np.full((n, T + 1, T + 1), np.nan)
-    outcome = _run_tranches("mix", small_inputs, panel, lambda t, live: np.full(live.shape, a))
+    T = small_inputs.T
+    outcome = _run_tranches("mix", small_inputs, (a,), lambda t, live: 0)
     static = StaticMixStrategy(mix=a).run(small_inputs)
     np.testing.assert_allclose(outcome.wealth, static.wealth, rtol=1e-12)
     held = outcome.wealth > 0
     assert held.any()
     np.testing.assert_allclose(outcome.alpha[held], a, rtol=1e-12, atol=0)
-    assert outcome.tranche_alpha is panel
+    # the expanded panel holds the mix from birth on and NaN before
+    born = np.tril(np.ones((T + 1, T + 1), dtype=bool))
+    assert np.all(outcome.tranche_alpha[:, born] == a)
+    assert np.isnan(outcome.tranche_alpha[:, ~born]).all()
+
+
+@pytest.mark.parametrize("k", [2, 200, 300])
+def test_tranche_record_holds_every_value_index(small_inputs, k):
+    # the index record must not wrap, whatever the number of values
+    n = small_inputs.n_paths
+    values = np.linspace(0.0, 1.0, k)
+
+    def index(t, shape):
+        return (np.arange(n)[:, None] * 7 + np.arange(shape[1]) * 13 + t) % k
+
+    outcome = _run_tranches("many", small_inputs, values, lambda t, live: index(t, live.shape))
+    reference = dense_tranche_run(small_inputs, lambda t, live: values[index(t, live.shape)])
+    assert_same_run(outcome, reference)
+    assert outcome.tranche_alpha is outcome.tranche_alpha  # built once, then cached
+
+
+def test_individual_run_equals_dense_reference(small_inputs):
+    params = _params(small_inputs.T)
+    frame = TargetFrame.build(small_inputs, params)
+    absorbed = np.zeros((small_inputs.n_paths, small_inputs.T + 1), dtype=bool)
+
+    def decide(t, live):
+        absorbed[:, : t + 1] |= live >= frame.tranche_targets(t)
+        return np.where(absorbed[:, : t + 1], 0.0, 1.0)
+
+    outcome = IndividualTargetStrategy(params).run(small_inputs)
+    assert_same_run(outcome, dense_tranche_run(small_inputs, decide))
+
+
+def test_individual_run_memory_stays_below_dense_panel(default_inputs):
+    import tracemalloc
+
+    n, T = default_inputs.n_paths, default_inputs.T
+    strategy = IndividualTargetStrategy(_params(T))
+    tracemalloc.start()
+    try:
+        outcome = strategy.run(default_inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.wealth.shape == (n, T + 1)
+    assert peak < 8 * n * (T + 1) ** 2
 
 
 def test_tranche_rules_report_zero_alpha_without_wealth():
