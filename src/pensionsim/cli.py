@@ -343,16 +343,17 @@ class _Outputs:
 
     def write(self, name: str, text: str) -> str:
         path = os.path.join(self.out_dir, name)
+        self.written.append(path)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        self.written.append(path)
         return path
 
     def write_with(self, name: str, writer) -> str:
         """Route a path-taking writer (e.g. export_csv) through the tracker."""
         path = os.path.join(self.out_dir, name)
-        writer(path)
+        # tracked before the write: a writer that fails part-way leaves a file
         self.written.append(path)
+        writer(path)
         return path
 
     def cleanup(self) -> None:

@@ -10,8 +10,9 @@ utility conditional on the current state is estimated cross-sectionally
 with local (LOESS) regression of realized terminal utilities on Z, sampled
 on ``curve_points`` evenly spaced nodes.  The regression is the design/apply
 LOESS of :mod:`pensionsim.lsmc`, the code behind
-:class:`~pensionsim.lsmc.LoessModel`; a design is reused across refreshes
-while the ratios it was built on are unchanged.
+:class:`~pensionsim.lsmc.LoessModel`: a design (windows and tri-cube
+weights) is reused across refreshes while the ratios it was built on are
+unchanged, and one batched matmul fits every allocation's curve on it.
 
 Terminal utility rewards ending between the configured ratio bounds:
 
@@ -513,8 +514,11 @@ class CombinationStrategy:
         from concurrent.futures import ProcessPoolExecutor
 
         # fork, whatever the platform default: workers inherit numpy and the
-        # package instead of importing them again.  The CLI gets here with no
-        # other thread running, so no lock is copied mid-hold
+        # package instead of importing them again.  The one other thread is
+        # the pool OpenBLAS starts when numpy is imported; its pthread_atfork
+        # handler shuts that pool down before each fork, so no BLAS thread
+        # or lock is copied mid-hold, and a process whose BLAS call wants
+        # threads again starts a fresh pool
         pool = ProcessPoolExecutor(
             max_workers=min(self.threads, T - 1), mp_context=multiprocessing.get_context("fork")
         )

@@ -11,9 +11,10 @@ nested simulation:
   (``_loess_geometry``: sort, windows, weights and moment sums for given
   training abscissae and query points) and an apply step (``_loess_apply``:
   a batch of response rows on that design, each window read as a contiguous
-  slice of the sorted rows).  This is the package's only
-  LOESS; the dynamic-programming solver fits its expected-utility curves
-  with the same two steps.
+  slice of the sorted rows and every window's moment sums taken by one
+  batched matmul).  This is the package's only LOESS; the
+  dynamic-programming solver fits its expected-utility curves with the same
+  two steps.
 * :class:`InflationEstimator` — the per-(path, year) table of expected
   annual inflation, one cumulative-inflation cross-sectional line fit per
   observation year.
@@ -90,9 +91,18 @@ def tricube_weight(u):
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0):
         raise DomainError("tri-cube weight is defined for u >= 0 only")
-    clipped = np.minimum(arr, 1.0)
-    w = (1.0 - clipped**3) ** 3
+    w = _tricube(np.minimum(np.atleast_1d(arr), 1.0)).reshape(arr.shape)
     return w if isinstance(u, np.ndarray) else float(w)
+
+
+def _tricube(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(1-c^3)^3 for an array c in [0, 1], by multiplies into ``out``."""
+    t = c * c
+    t *= c
+    np.subtract(1.0, t, out=t)
+    out = np.multiply(t, t, out=out)
+    out *= t
+    return out
 
 
 def _window_size(d: float, n: int) -> int:
@@ -112,7 +122,10 @@ class _LoessDesign:
     The neighbours of query i are the ``win`` training points
     ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae and every
     window is a contiguous run of the sorted sample, so the apply step sorts
-    each response row once and reads each window as a slice.
+    each response row once and reads each window as a slice.  ``ws[i, j]``
+    holds the weight of window point j and that weight times its centred
+    abscissa (and times its square at degree 2): the columns of one
+    (window, moment) matrix per query.
     """
 
     n_queries: int
@@ -120,9 +133,7 @@ class _LoessDesign:
     order: np.ndarray | None = None
     lo: np.ndarray | None = None
     win: int = 0
-    w: np.ndarray | None = None
-    wx: np.ndarray | None = None
-    wx2: np.ndarray | None = None
+    ws: np.ndarray | None = None
     nearest: np.ndarray | None = None
     s0: np.ndarray | None = None
     s1: np.ndarray | None = None
@@ -163,25 +174,23 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     else:
         lo = np.zeros(queries.shape, dtype=int)
         win = n
-    xw = sliding_window_view(xs, win)[lo]
-    dist = np.abs(xw - queries[:, None])
-    dk = dist.max(axis=1)
-
-    zero_dk = dk == 0.0
-    u = dist / np.where(zero_dk, 1.0, dk)[:, None]
-    if np.any(zero_dk):
-        # the k nearest points all coincide with the query: weight exact
-        # matches only (their tri-cube argument is 0/0)
-        u[zero_dk] = np.where(dist[zero_dk] == 0.0, 0.0, 2.0)
-    w = tricube_weight(u)
-
+    xc = sliding_window_view(xs, win)[lo]
+    xc -= queries[:, None]
+    # u = dist / dk lies in [0, 1].  Where the k nearest points all coincide
+    # with the query (dk = 0) every distance is 0, and so every weight is 1
+    u = np.abs(xc)
+    dk = u.max(axis=1)
+    u /= np.where(dk == 0.0, 1.0, dk)[:, None]
+    ws = np.empty(xc.shape + (degree + 1,))
+    w = _tricube(u, out=ws[..., 0])
     npos = np.count_nonzero(w > 0.0, axis=1)
-    xc = xw - queries[:, None]
+    wx = np.multiply(w, xc, out=ws[..., 1])
     s0 = w.sum(axis=1)
-    wx = w * xc
     s1 = wx.sum(axis=1)
-    s2 = (wx * xc).sum(axis=1)
+    # u is free now: the higher moments are summed in its buffer
+    s2 = np.multiply(wx, xc, out=u).sum(axis=1)
 
+    none_mask = npos == 0
     want1 = npos >= 2  # at least degree-1 worth of support
     det1 = s0 * s2 - s1 * s1
     design = _LoessDesign(
@@ -189,28 +198,30 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         order=order,
         lo=lo,
         win=win,
-        w=w,
-        wx=wx,
-        nearest=np.argmin(dist, axis=1),
+        ws=ws,
         s0=s0,
         s1=s1,
         s2=s2,
         base=npos >= 1,
         ok1=want1 & (det1 > 1e-12 * s0 * s2),
         det1=det1,
-        none_mask=npos == 0,
+        none_mask=none_mask,
     )
+    if np.any(none_mask):
+        design.nearest = np.argmin(np.abs(xc), axis=1)
 
     if degree == 2:
-        wx2 = wx * xc
-        s3 = (wx2 * xc).sum(axis=1)
-        s4 = (wx2 * xc * xc).sum(axis=1)
+        ws[..., 2] = u
+        u *= xc
+        s3 = u.sum(axis=1)
+        u *= xc
+        s4 = u.sum(axis=1)
         want2 = npos >= 3
         c22 = s2 * s4 - s3 * s3
         c12 = s1 * s4 - s2 * s3
         c11 = s1 * s3 - s2 * s2
         det2 = s0 * c22 - s1 * c12 + s2 * c11
-        design.wx2, design.s3, design.s4 = wx2, s3, s4
+        design.s3, design.s4 = s3, s4
         design.ok2 = want2 & (det2 > 1e-10 * s0 * s2 * s4)
         design.det2 = det2
         design.c22, design.c12, design.c11 = c22, c12, c11
@@ -225,12 +236,13 @@ def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
     """
     if design.mean_only:
         return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
-    # einsum picks its summation loop from the operands' strides, so the
-    # layout of yw fixes the last bits of the fits: the response rows stay
-    # innermost in memory, and a batch's windows are summed term by term
-    yw = sliding_window_view(responses[:, design.order], design.win, axis=1)[:, design.lo]
-    t0 = np.einsum("mw,kmw->km", design.w, yw)
-    t1 = np.einsum("mw,kmw->km", design.wx, yw)
+    # the windows, gathered straight into (query, response, window) order,
+    # times each query's (window, moment) weights: one batched matmul gives
+    # every moment sum t[i, r, j] of every response row r at every query i
+    yw = sliding_window_view(responses[:, design.order], design.win, axis=1)
+    yw = yw.transpose(1, 0, 2)[design.lo]
+    t = np.matmul(yw, design.ws)
+    t0, t1 = t[..., 0].T, t[..., 1].T
 
     fits = np.empty((responses.shape[0], design.n_queries))
     base, ok1 = design.base, design.ok1
@@ -241,8 +253,8 @@ def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
         pred1 = (design.s2 * t0 - design.s1 * t1) / np.where(ok1, design.det1, 1.0)
     fits[:, ok1] = pred1[:, ok1]
 
-    if design.wx2 is not None:
-        t2 = np.einsum("mw,kmw->km", design.wx2, yw)
+    if design.ok2 is not None:
+        t2 = t[..., 2].T
         s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
         ok2 = design.ok2
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -255,7 +267,7 @@ def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
         # cutoff distance): fall back to the nearest training value, lowest
         # x first on ties
         for i in np.nonzero(design.none_mask)[0]:
-            fits[:, i] = yw[:, i, design.nearest[i]]
+            fits[:, i] = yw[i, :, design.nearest[i]]
     return fits
 
 

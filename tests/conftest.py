@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pensionsim import ModelParams, SimulationInputs, simulate
 from pensionsim.market import AnnuitySpec
@@ -57,6 +58,42 @@ def assert_same_run(outcome, reference):
     assert np.array_equal(outcome.wealth, wealth)
     assert np.array_equal(outcome.alpha, alpha)
     assert np.array_equal(outcome.tranche_alpha, panel, equal_nan=True)
+
+
+def einsum_loess_apply(design, responses):
+    """Reference LOESS apply step: one einsum per weight column.
+
+    Sums each window term by term over the (response, query, window)
+    gather, where the package's apply hands the windows to one batched
+    matmul.  Takes the same design and returns the same fits up to rounding.
+    """
+    if design.mean_only:
+        return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
+    yw = sliding_window_view(responses[:, design.order], design.win, axis=1)[:, design.lo]
+    t0 = np.einsum("mw,kmw->km", design.ws[..., 0], yw)
+    t1 = np.einsum("mw,kmw->km", design.ws[..., 1], yw)
+
+    fits = np.empty((responses.shape[0], design.n_queries))
+    base, ok1 = design.base, design.ok1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_pred = np.where(base, t0 / np.where(base, design.s0, 1.0), 0.0)
+    fits[:, base] = mean_pred[:, base]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pred1 = (design.s2 * t0 - design.s1 * t1) / np.where(ok1, design.det1, 1.0)
+    fits[:, ok1] = pred1[:, ok1]
+
+    if design.ok2 is not None:
+        t2 = np.einsum("mw,kmw->km", design.ws[..., 2], yw)
+        s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
+        ok2 = design.ok2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            num = t0 * design.c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
+            pred2 = num / np.where(ok2, design.det2, 1.0)
+        fits[:, ok2] = pred2[:, ok2]
+
+    for i in np.nonzero(design.none_mask)[0]:
+        fits[:, i] = yw[:, i, design.nearest[i]]
+    return fits
 
 
 @pytest.fixture(scope="session")

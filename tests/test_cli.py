@@ -279,6 +279,20 @@ def test_runtime_domain_error_exits_2_and_cleans_outputs(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_writer_failing_part_way_leaves_no_partial_file(tmp_path, monkeypatch):
+    def failing_export(scenarios, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("path,t")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "export_csv", failing_export)
+    cfg = cli.parse_config(write_config(tmp_path, SMALL))
+    out = str(tmp_path / "out")
+    with pytest.raises(OSError, match="disk full"):
+        cli.run(cfg, "simulate", out)
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("kind", ["glide", "bogle"])
 def test_glide_paths_follow_career_file_ages(tmp_path, kind):
     # a career that starts at 30: the glide path must cover ages 30..42

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_run, dense_tranche_run, flat_params
+from conftest import assert_same_run, dense_tranche_run, einsum_loess_apply, flat_params
 from pensionsim import (
     CombinationStrategy,
     DpConfig,
@@ -205,6 +205,22 @@ def test_changed_path_propagation_matches_full_rollout(small_inputs, monkeypatch
     assert _FullRecomputeCheck.partial > 0
     assert np.array_equal(got.decisions, want.decisions)
     assert np.array_equal(got.z_path, want.z_path)
+
+
+def test_decisions_match_einsum_loess_reference(monkeypatch):
+    # the batched-matmul apply moves only the last bits of the fitted curves
+    from pensionsim import ModelParams
+
+    scenarios = simulate(ModelParams(), 400, 8, seed=23)
+    inputs = SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=8, N=20))
+    frame = TargetFrame.build(inputs, _params(inputs.T, r=0.01))
+    got = solve_policy(inputs, frame, tau=0)
+    monkeypatch.setattr(dp, "_loess_apply", einsum_loess_apply)
+    want = solve_policy(inputs, frame, tau=0)
+    assert np.array_equal(got.decisions, want.decisions)
+    assert np.array_equal(got.z_path, want.z_path)
+    for a, b in zip(got.curves, want.curves):
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_solve_policy_validation(small_inputs):

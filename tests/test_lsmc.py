@@ -1,11 +1,13 @@
 """Global regression, LOESS local regression and the expected-inflation estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_params
+from conftest import einsum_loess_apply, flat_params
 from pensionsim import (
     InflationEstimator,
     LoessModel,
@@ -199,7 +201,7 @@ def test_loess_apply_rows_match_single_fits(d, degree):
     for i, y in enumerate(ys):
         # a row's fit does not depend on the rows batched with it
         assert np.array_equal(_loess_apply(design, ys[[i, i]])[0], fits[i])
-        # einsum sums a lone row's window in another order than a batch's,
+        # matmul may hand a lone row to another BLAS kernel than a batch,
         # so the single fit agrees to rounding; copied values agree exactly
         single = loess_batch(LoessModel(x, y, d=d, degree=degree), q)
         np.testing.assert_allclose(single, fits[i], rtol=1e-12, atol=1e-12)
@@ -209,6 +211,57 @@ def test_loess_apply_rows_match_single_fits(d, degree):
             nearest = x == x[dist == dist.min()].min()
             assert single[j] == fits[i, j]
             assert fits[i, j] in y[nearest]
+
+
+_TIED_X = np.random.default_rng(5).integers(0, 12, 40) / 4.0
+_TIED_Q = np.array([-0.3, 0.125, 1.375, 3.2])
+
+
+@pytest.mark.parametrize(
+    "x, q, d",
+    [
+        # tied abscissae, k < n with nearest-value fallbacks and k = n
+        (_TIED_X, _TIED_Q, 0.1),
+        (_TIED_X, _TIED_Q, 1.0),
+        # one distinct abscissa: every fit is the mean
+        (np.full(40, 0.7), np.array([0.0, 0.7, 2.0]), 0.2),
+        # the solver's shape: 2000 points, a 400-point window, 101 nodes
+        (np.random.default_rng(6).lognormal(size=2000), np.linspace(0.2, 6.0, 101), 0.2),
+    ],
+)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_loess_apply_matches_einsum_reference(x, q, d, degree):
+    ys = np.random.default_rng(8).normal(-5.0, 1.0, size=(6, x.shape[0]))
+    design = _loess_geometry(x, q, d, degree)
+    got, want = _loess_apply(design, ys), einsum_loess_apply(design, ys)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if design.mean_only:
+        assert np.array_equal(got, want)
+    else:
+        # copied nearest values agree exactly
+        assert np.array_equal(got[:, design.none_mask], want[:, design.none_mask])
+        assert design.none_mask.any() == (d < 1.0 and x.shape[0] == 40)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_loess_design_holds_no_more_than_its_weight_columns(degree):
+    # the design keeps one (query, window, moment) weight tensor; a stacked
+    # copy beside separate weight arrays would double what it holds
+    n, m = 2000, 101
+    x = np.random.default_rng(4).lognormal(size=n)
+    q = np.linspace(x.min(), x.max(), m)
+    _loess_geometry(x, q, 0.2, degree)  # warm up lazy allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        design = _loess_geometry(x, q, 0.2, degree)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert design.win == 400
+    columns = (degree + 1) * m * design.win * 8  # w, wx (and wx2) as float64
+    side = 8 * n + 32 * 8 * m  # the sort order and up to 32 per-query vectors
+    assert held <= columns + side
 
 
 def test_loess_duplicate_cluster_falls_back_to_mean():
