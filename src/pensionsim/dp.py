@@ -538,21 +538,25 @@ class CombinationStrategy:
         T = inputs.T
         x, m = inputs.scenarios.x, inputs.market.m
         factors = _step_factors(inputs, frame, self.cfg)
+        # both modes hold their tranches year-major, (tau, path), like the
+        # kernel's state, and hand the kernel (path, tau) indices
         if self.mode == "per-contribution":
             # decisions[tau][t - tau]: grid indices of the tranche born at tau
             decisions = self._tranche_decisions(inputs, frame, factors)
 
             def choose(t):
-                return np.stack([decisions[tau][t - tau] for tau in range(t + 1)], axis=1)
+                return np.stack([decisions[tau][t - tau] for tau in range(t + 1)]).T
         else:
             policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
-            z = frame.z0(slice(None))
+            z = frame.z0(slice(None)).T.copy()
 
             def choose(t):
-                born = z[:, : t + 1]
-                idx = policy.choice_at(t, born)
-                a, er = policy.grid[idx], frame.er[:, t + 1, None]
-                born[...] = z_step(born, a, x[:, t + 1, None], m[:, t + 1, None], er)
+                born = z[: t + 1]
+                # interp runs fastest on queries in path order, where
+                # neighbouring tranches have close ratios
+                idx = policy.choice_at(t, born.T)
+                a, er = policy.grid[idx.T], frame.er[:, t + 1]
+                born[...] = z_step(born, a, x[:, t + 1], m[:, t + 1], er)
                 return idx
 
         conversion = len(self.cfg.grid)

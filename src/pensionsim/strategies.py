@@ -16,7 +16,11 @@ year's contribution, in one of two shapes.  ``_accumulate`` keeps one pot
 per path (static mixes, glide paths, the cumulative rule); ``_run_tranches``
 keeps one pot per contribution tranche, each at one of a few allocation
 values (the individual rule and the DP combination strategy).  Each runner
-only says how alpha is chosen.
+only says how alpha is chosen.  Both kernels keep their state year-major,
+one contiguous row per year: the wealth and alpha panels, the tranche
+wealth laid out (tau, path), and the tranche index record as a
+(t, tau, path) triangle.  Callers see (path, year) and (path, tau) arrays
+through transposed views.
 """
 
 from __future__ import annotations
@@ -161,21 +165,22 @@ def cumulative_target(
 class TargetFrame:
     """All target-wealth panels for one scenario set and one ``TargetParams``.
 
-    ``cumq[:, t]`` compounds 1 + r + pi through year t, ``growth_exp[:, t]``
-    is the expected factor (1 + r + I_t)^(T-t), ``acc`` accumulates
-    contributions at realized 1 + r + pi, and ``er[:, t]`` is the one-year
-    growth of any tranche target excluding the annuity-factor move.
+    ``build`` checks that 1 + r + pi and 1 + r + I_t stay positive and
+    computes ``growth_exp[:, t]``, the expected factor (1 + r + I_t)^(T-t);
+    every other panel is built on first read.  ``cumq[t]`` compounds
+    1 + r + pi through year t, held year-major (T + 1, n_paths) for its
+    per-year readers ``tranche_targets`` and ``factor``; ``acc`` accumulates
+    contributions at realized 1 + r + pi, ``er[:, t]`` is the one-year
+    growth of any tranche target excluding the annuity-factor move, and
+    ``target_cum`` is the aggregate target.
     """
 
     params: TargetParams
     m_tilde: float
     M: np.ndarray
-    cumq: np.ndarray
     growth_exp: np.ndarray
-    er: np.ndarray
-    acc: np.ndarray
-    target_cum: np.ndarray
-    contributions: np.ndarray = field(repr=False, default=None)
+    pi: np.ndarray = field(repr=False)
+    contributions: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, inputs: SimulationInputs, params: TargetParams) -> "TargetFrame":
@@ -185,47 +190,53 @@ class TargetFrame:
             )
         T = params.T
         pi = inputs.scenarios.pi[:, : T + 1]
-        q = 1.0 + params.r + pi
-        if np.any(q[:, 1:] <= 0.0):
+        if np.any(1.0 + params.r + pi[:, 1:] <= 0.0):
             raise DomainError("1 + r + realized inflation must stay positive")
-        cumq = np.ones_like(q)
-        np.cumprod(q[:, 1:], axis=1, out=cumq[:, 1:])
         base = 1.0 + params.r + inputs.inflation.rates[:, : T + 1]
         if np.any(base <= 0.0):
             raise DomainError("1 + r + expected inflation must stay positive")
         growth_exp = base ** np.arange(T, -1, -1)
-        er = np.empty_like(q)
-        er[:, 0] = np.nan
-        er[:, 1:] = q[:, 1:] * growth_exp[:, 1:] / growth_exp[:, :-1]
-        c = inputs.contributions
-        acc = np.empty_like(c)
-        acc[:, 0] = c[:, 0]
-        for t in range(1, T + 1):
+        return cls(params, params.m_tilde, inputs.market.M, growth_exp, pi, inputs.contributions)
+
+    @cached_property
+    def cumq(self) -> np.ndarray:
+        q = 1.0 + self.params.r + self.pi
+        cumq = np.ones(q.shape[::-1])
+        np.cumprod(q.T[1:], axis=0, out=cumq[1:])
+        return cumq
+
+    @cached_property
+    def er(self) -> np.ndarray:
+        q, g = 1.0 + self.params.r + self.pi, self.growth_exp
+        er = np.full_like(q, np.nan)
+        er[:, 1:] = q[:, 1:] * g[:, 1:] / g[:, :-1]
+        return er
+
+    @cached_property
+    def acc(self) -> np.ndarray:
+        q, c = 1.0 + self.params.r + self.pi, self.contributions
+        acc = c.copy()
+        for t in range(1, self.params.T + 1):
             acc[:, t] = acc[:, t - 1] * q[:, t] + c[:, t]
-        m_tilde = params.m_tilde
-        M = inputs.market.M
-        target_cum = M * acc * growth_exp / m_tilde
-        return cls(
-            params=params,
-            m_tilde=m_tilde,
-            M=M,
-            cumq=cumq,
-            growth_exp=growth_exp,
-            er=er,
-            acc=acc,
-            target_cum=target_cum,
-            contributions=c,
-        )
+        return acc
+
+    @cached_property
+    def target_cum(self) -> np.ndarray:
+        return self.M * self.acc * self.growth_exp / self.m_tilde
 
     def factor(self, tau: int, t: int) -> np.ndarray:
         """E_t F_tau per path."""
-        return self.cumq[:, t] / self.cumq[:, tau] * self.growth_exp[:, t]
+        return self.cumq[t] / self.cumq[tau] * self.growth_exp[:, t]
 
     def tranche_targets(self, t: int) -> np.ndarray:
-        """Targets of all tranches born up to t, shape (n_paths, t + 1)."""
+        """Targets of all tranches born up to t, shape (n_paths, t + 1).
+
+        A transposed view of the year-major (t + 1, n_paths) block.
+        """
         scale = self.M[:, t] * self.growth_exp[:, t] / self.m_tilde
-        ratios = self.cumq[:, t][:, None] / self.cumq[:, : t + 1]
-        return scale[:, None] * self.contributions[:, : t + 1] * ratios
+        targets = np.multiply(scale, self.contributions[:, : t + 1].T, order="C")
+        targets *= self.cumq[t] / self.cumq[: t + 1]
+        return targets.T
 
     def z0(self, tau: int) -> np.ndarray:
         """Initial wealth-to-target ratio of a tranche born at tau (or a slice of years)."""
@@ -258,9 +269,10 @@ class StrategyOutcome:
 
     ``wealth[:, t]`` includes the year-t contribution (decision-time
     wealth); ``alpha[:, t]`` is the fraction chosen at t for the year
-    ahead.  ``tranche_alpha[p, t, tau]`` (when tracked) is the allocation
-    of the tranche born at tau, NaN before its birth, built on first read
-    from the ``tranches = (values, record)`` of :func:`_run_tranches`.
+    ahead.  Both are (n_paths, T + 1) views of year-major panels.
+    ``tranche_alpha[p, t, tau]`` (when tracked) is the allocation of the
+    tranche born at tau, NaN before its birth, built on first read from the
+    ``tranches = (values, record)`` of :func:`_run_tranches`.
     """
 
     label: str
@@ -278,10 +290,10 @@ class StrategyOutcome:
             return None
         values, record = self.tranches
         n, years = self.wealth.shape
-        # the record holds the tau <= t cells of a (t, path, tau) panel, in order
-        panel = np.full((years, n, years), np.nan)
-        panel[np.broadcast_to(np.tri(years, dtype=bool)[:, None], panel.shape)] = values[record]
-        return panel.transpose(1, 0, 2)
+        # the record holds the tau <= t cells of a (t, tau, path) panel, in order
+        panel = np.full((years, years, n), np.nan)
+        panel[np.broadcast_to(np.tri(years, dtype=bool)[:, :, None], panel.shape)] = values[record]
+        return panel.transpose(2, 0, 1)
 
 
 def _grown(wealth, alpha, x_t, m_t):
@@ -291,52 +303,66 @@ def _grown(wealth, alpha, x_t, m_t):
 def _accumulate(inputs: SimulationInputs, decide):
     """One pot per path: ``(wealth, alpha)`` panels of shape (n_paths, T + 1).
 
+    The state is year-major: both panels are (n_paths, T + 1) views of
+    (T + 1, n_paths) arrays, so each year writes one contiguous row.
     ``decide(t, wealth_t, alpha_prev)`` returns alpha_t from the decision-time
     wealth (``alpha_prev`` is None at t = 0).
     """
     T, n = inputs.T, inputs.n_paths
     x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
-    wealth = np.empty((n, T + 1))
-    alpha = np.empty((n, T + 1))
-    wealth[:, 0] = c[:, 0]
-    alpha[:, 0] = decide(0, wealth[:, 0], None)
+    wealth = np.empty((T + 1, n))
+    alpha = np.empty((T + 1, n))
+    wealth[0] = c[:, 0]
+    alpha[0] = decide(0, wealth[0], None)
     for t in range(1, T + 1):
-        wealth[:, t] = _grown(wealth[:, t - 1], alpha[:, t - 1], x[:, t], m[:, t]) + c[:, t]
-        alpha[:, t] = decide(t, wealth[:, t], alpha[:, t - 1])
-    return wealth, alpha
+        wealth[t] = _grown(wealth[t - 1], alpha[t - 1], x[:, t], m[:, t]) + c[:, t]
+        alpha[t] = decide(t, wealth[t], alpha[t - 1])
+    return wealth.T, alpha.T
 
 
 def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> StrategyOutcome:
     """One pot per contribution tranche, each held at one of ``values``.
 
     ``decide(t, live)`` returns the indices into ``values`` of the tranches
-    born up to t, where ``live`` holds their decision-time wealth; ``record``
-    keeps them laid out (t, path, tau), in the narrowest unsigned type that
-    holds every index.  The aggregate alpha is the wealth-weighted tranche
-    allocation, 0 where the path holds no wealth.
+    born up to t, where ``live`` holds their decision-time wealth, both
+    (n_paths, t + 1).  The state is year-major, so each year is a few
+    whole-block operations: the tranche wealth is laid out (tau, path), and
+    ``record`` keeps the indices as a (t, tau, path) triangle, in the
+    narrowest unsigned type that holds every index.  The per-path sums run
+    on a (path, tau) copy, so each path's tranches add in numpy's order for
+    a row.  The aggregate alpha is the wealth-weighted tranche allocation,
+    0 where the path holds no wealth.
     """
     T, n = inputs.T, inputs.n_paths
     x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
     values = np.asarray(values, dtype=float)
     record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
     start = 0
-    tranche_wealth = np.zeros((n, T + 1))
-    wealth = np.empty((n, T + 1))
-    alpha = np.empty((n, T + 1))
+    tranche_wealth = np.zeros((T + 1, n))
+    by_path = np.empty(n * (T + 1))
+    paths = np.arange(n)
+    wealth = np.empty((T + 1, n))
+    alpha = np.empty((T + 1, n))
     for t in range(T + 1):
         if t > 0:
-            tranche_wealth[:, :t] = _grown(tranche_wealth[:, :t], row, x[:, t, None], m[:, t, None])
-        tranche_wealth[:, t] = c[:, t]
-        live = tranche_wealth[:, : t + 1]
-        idx = record[start : start + n * (t + 1)].reshape(n, t + 1)
-        idx[...] = decide(t, live)
+            # the growth of one unit per (value, path), gathered per tranche
+            factor = _grown(1.0, values[:, None], x[:, t], m[:, t])
+            flat = np.multiply(idx, n, dtype=np.intp)
+            flat += paths
+            tranche_wealth[:t] *= factor.take(flat)
+        tranche_wealth[t] = c[:, t]
+        live = tranche_wealth[: t + 1]
+        idx = record[start : start + n * (t + 1)].reshape(t + 1, n)
+        idx.T[...] = decide(t, live.T)
         start += idx.size
-        row = values[idx]
-        wealth[:, t] = live.sum(axis=1)
-        weighted = (live * row).sum(axis=1)
+        held = by_path[: idx.size].reshape(n, t + 1)
+        held[...] = live.T
+        wealth[t] = held.sum(axis=1)
+        held[...] = (live * values.take(idx)).T
+        weighted = held.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
-    return StrategyOutcome(label=label, wealth=wealth, alpha=alpha, tranches=(values, record))
+            alpha[t] = np.where(wealth[t] > 0, weighted / wealth[t], 0.0)
+    return StrategyOutcome(label=label, wealth=wealth.T, alpha=alpha.T, tranches=(values, record))
 
 
 @dataclass(frozen=True)
@@ -388,11 +414,13 @@ class IndividualTargetStrategy:
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
-        absorbed = np.zeros((inputs.n_paths, inputs.T + 1), dtype=bool)
+        # laid out (tau, path) like the kernel's tranche state
+        absorbed = np.zeros((inputs.T + 1, inputs.n_paths), dtype=bool)
 
         def decide(t, live):
-            absorbed[:, : t + 1] |= live >= frame.tranche_targets(t)
-            return ~absorbed[:, : t + 1]
+            held = absorbed[: t + 1].T
+            held |= live >= frame.tranche_targets(t)
+            return ~held
 
         return _run_tranches(self.label, inputs, (0.0, 1.0), decide)
 

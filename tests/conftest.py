@@ -23,6 +23,27 @@ def flat_params(mean_x=0.04, mean_pi=0.0, mean_level=0.0, wage_spread=0.0):
     )
 
 
+def dense_accumulate(inputs, decide):
+    """Reference one-pot kernel, path-major.
+
+    ``decide(t, wealth_t, alpha_prev)`` returns alpha_t (``alpha_prev`` is
+    None at t = 0).  Returns ``(wealth, alpha)`` of shape (n_paths, T + 1),
+    with every product in the order the package's kernel uses.
+    """
+    T, n = inputs.T, inputs.n_paths
+    x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
+    wealth = np.empty((n, T + 1))
+    alpha = np.empty((n, T + 1))
+    wealth[:, 0] = c[:, 0]
+    alpha[:, 0] = decide(0, wealth[:, 0], None)
+    for t in range(1, T + 1):
+        a = alpha[:, t - 1]
+        growth = a * (1.0 + x[:, t]) + (1.0 - a) * (1.0 + m[:, t])
+        wealth[:, t] = wealth[:, t - 1] * growth + c[:, t]
+        alpha[:, t] = decide(t, wealth[:, t], alpha[:, t - 1])
+    return wealth, alpha
+
+
 def dense_tranche_run(inputs, decide):
     """Reference tranche kernel on a dense NaN-filled float panel.
 

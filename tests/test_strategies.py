@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import assert_same_run, dense_tranche_run, flat_params
+from conftest import assert_same_run, dense_accumulate, dense_tranche_run, flat_params
 from pensionsim import (
+    CareerSchedule,
     CombinationStrategy,
     CumulativeTargetStrategy,
     DpConfig,
@@ -193,6 +194,22 @@ def test_target_frame_requires_positive_growth(small_inputs):
         TargetFrame.build(small_inputs, _params(small_inputs.T, r=-0.99))
 
 
+def test_target_frame_checks_growth_in_build(small_inputs):
+    # each r breaks one check only; build itself raises, though the panels
+    # that compound 1 + r + pi are built later, on first read
+    T = small_inputs.T
+    realized = small_inputs.scenarios.pi[:, 1 : T + 1].min()
+    expected = small_inputs.inflation.rates[:, : T + 1].min()
+    assert realized < expected
+    with pytest.raises(DomainError, match="realized"):
+        TargetFrame.build(small_inputs, _params(T, r=-1.0 - (realized + expected) / 2))
+    # lift realized inflation above every expected rate
+    lifted = small_inputs.scenarios.pi + (expected - realized + 0.01)
+    inputs = replace(small_inputs, scenarios=replace(small_inputs.scenarios, pi=lifted))
+    with pytest.raises(DomainError, match="expected"):
+        TargetFrame.build(inputs, _params(T, r=-1.0 - expected - 0.005))
+
+
 # ---------------------------------------------------------------------------
 # allocation steps
 # ---------------------------------------------------------------------------
@@ -254,6 +271,29 @@ def test_glide_run_uses_age_schedule(small_inputs):
     ages = small_inputs.schedule.ages
     for t in (0, 4, small_inputs.T):
         assert np.all(outcome.alpha[:, t] == g.fraction_at(ages[t]))
+
+
+@pytest.mark.parametrize("rule", ["static", "glide", "cumulative"])
+def test_one_pot_runs_equal_dense_reference(default_inputs, rule):
+    inputs = default_inputs
+    x, m, ages = inputs.scenarios.x, inputs.market.m, inputs.schedule.ages
+    glide = GlidePath.bogle()
+    params = _params(inputs.T, r=0.03)
+    target = TargetFrame.build(inputs, params).target_cum
+    strategy, decide = {
+        "static": (StaticMixStrategy(mix=0.37), lambda t, w, a: 0.37),
+        "glide": (StaticMixStrategy(mix=glide), lambda t, w, a: glide.fraction_at(ages[t])),
+        "cumulative": (
+            CumulativeTargetStrategy(params),
+            lambda t, w, a: cumulative_step(w, target[:, t], a, x[:, t], m[:, t], t),
+        ),
+    }[rule]
+    outcome = strategy.run(inputs)
+    wealth, alpha = dense_accumulate(inputs, decide)
+    assert np.array_equal(outcome.wealth, wealth)
+    assert np.array_equal(outcome.alpha, alpha)
+    if rule == "cumulative":
+        assert (alpha == 0.0).any() and (alpha == 1.0).any()
 
 
 def test_cumulative_run_alpha_matches_target_rule(small_inputs):
@@ -327,6 +367,52 @@ def test_individual_run_equals_dense_reference(small_inputs):
 
     outcome = IndividualTargetStrategy(params).run(small_inputs)
     assert_same_run(outcome, dense_tranche_run(small_inputs, decide))
+
+
+@pytest.fixture(scope="module")
+def long_inputs():
+    """40 paths over a 130-year career, so up to 131 tranches per path."""
+    years = 131
+    schedule = CareerSchedule(
+        ages=tuple(range(25, 25 + years)),
+        career_rate=(0.01,) * years,
+        contribution_rate=(0.1,) * years,
+    )
+    scenarios = simulate(ModelParams(), 40, years - 1, seed=11)
+    return SimulationInputs.prepare(
+        scenarios, annuity=AnnuitySpec(T=years - 1, N=20), schedule=schedule
+    )
+
+
+@pytest.mark.parametrize("rule", ["individual", "index"])
+def test_long_horizon_tranche_run_equals_dense_reference(long_inputs, rule):
+    # the per-path sums over up to 131 tranches cross numpy's 8-way
+    # unrolled blocks and its 128-term pairwise split
+    n, T = long_inputs.n_paths, long_inputs.T
+    if rule == "individual":
+        params = _params(T, r=0.03)
+        frame = TargetFrame.build(long_inputs, params)
+        absorbed = np.zeros((n, T + 1), dtype=bool)
+
+        def decide(t, live):
+            absorbed[:, : t + 1] |= live >= frame.tranche_targets(t)
+            return np.where(absorbed[:, : t + 1], 0.0, 1.0)
+
+        outcome = IndividualTargetStrategy(params).run(long_inputs)
+    else:
+        values = np.linspace(0.0, 1.0, 300)
+
+        def index(t, shape):
+            return (np.arange(n)[:, None] * 7 + np.arange(shape[1]) * 13 + t) % values.size
+
+        outcome = _run_tranches("many", long_inputs, values, lambda t, live: index(t, live.shape))
+
+        def decide(t, live):
+            return values[index(t, live.shape)]
+
+    assert_same_run(outcome, dense_tranche_run(long_inputs, decide))
+    held = outcome.tranche_alpha[~np.isnan(outcome.tranche_alpha)]
+    assert np.unique(held).size > 1
 
 
 def test_individual_run_memory_stays_below_dense_panel(default_inputs):
@@ -403,8 +489,6 @@ def test_optimize_static_prefers_dominant_asset():
 def test_optimize_static_tie_breaks_to_smaller_mix():
     # flat career at the franchise level: no contributions, zero wealth for
     # every mix, hence identical shortfalls and a tie across the grid
-    from pensionsim import CareerSchedule
-
     s = simulate(flat_params(), 2, 6, seed=5)
     sched = CareerSchedule(
         ages=tuple(range(25, 32)),
