@@ -37,6 +37,7 @@ processes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,42 +129,51 @@ def z_step(z, alpha, x, m, expectation_ratio):
     return out if out.ndim else float(out)
 
 
-def _plin_eval(nodes: np.ndarray, curves: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Evaluate each piecewise-linear curve at q with flat extrapolation."""
-    j = np.clip(np.searchsorted(nodes, q, side="right"), 1, nodes.shape[0] - 1)
-    left = nodes[j - 1]
-    t = np.clip((q - left) / (nodes[j] - left), 0.0, 1.0)
-    return curves[:, j - 1] * (1.0 - t) + curves[:, j] * t
+@functools.cache
+def _pairs(k: int) -> tuple:
+    """Row indices of the k (k - 1) / 2 pairs of k curves (read-only)."""
+    return np.triu_indices(k, 1)
 
 
 def _envelope(nodes: np.ndarray, curves: np.ndarray):
     """Upper envelope of fitted curves, reduced to a step policy over z.
 
-    Returns ``(breaks, regions)`` where ``regions[i]`` is the winning grid
-    index on the i-th interval of the partition cut at ``breaks`` (flat tails
-    included).  Taking the region after the last break <= z then agrees with
-    argmax over the interpolated curves everywhere except exactly on a break,
-    where the tied neighbours have equal fitted value anyway.
+    Returns ``(breaks, regions)``: the strictly increasing ``breaks`` cut the
+    z axis into intervals, flat tails included, and ``regions[i]`` is the
+    grid index whose linearly interpolated curve is highest on the i-th
+    interval (ties go low).  So the policy picks the region after the last
+    break <= z, which agrees with argmax over the interpolated curves
+    everywhere except exactly on a break, where the tied neighbours have
+    equal fitted value anyway.
+
+    The candidate cuts are the nodes and the crossings of any two curves;
+    each interval between cuts is decided at its midpoint, and each tail at
+    its outermost node, beyond which the curves extend flat.
     """
     k, m = curves.shape
     if m == 1 or k == 1:
         return np.empty(0), np.array([int(np.argmax(curves[:, 0]))], dtype=np.int64)
-    left, right = curves[:, :-1], curves[:, 1:]
-    ia, ib = np.triu_indices(k, 1)
-    dl = left[ia] - left[ib]
-    dr = right[ia] - right[ib]
+    ia, ib = _pairs(k)
+    d = curves[ia] - curves[ib]
+    dl, dr = d[:, :-1], d[:, 1:]
     crossing = dl * dr < 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = dl / (dl - dr)
-    zc = nodes[:-1] + t * np.diff(nodes)
-    cand = np.unique(np.concatenate([nodes, zc[crossing]]))
-    probes = np.empty(cand.shape[0] + 1)
-    probes[1:-1] = (cand[:-1] + cand[1:]) / 2.0
-    probes[0] = cand[0] - 1.0
-    probes[-1] = cand[-1] + 1.0
-    reg = np.argmax(_plin_eval(nodes, curves, probes), axis=0)
+    seg = np.flatnonzero(crossing) % (m - 1)
+    dl, dr = dl[crossing], dr[crossing]
+    zc = nodes[seg] + dl / (dl - dr) * (nodes[seg + 1] - nodes[seg])
+    cand = np.concatenate((nodes, zc))
+    cand.sort()
+    cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+    mid = (cand[:-1] + cand[1:]) / 2.0
+    # a crossing can round onto or one ulp past the last node: a midpoint
+    # there stays in the last segment, where t still rounds to 1
+    j = np.searchsorted(nodes, mid, side="right")
+    np.minimum(j, m - 1, out=j)
+    left = nodes[j - 1]
+    t = (mid - left) / (nodes[j] - left)
+    inner = curves.take(j - 1, axis=1) * (1.0 - t) + curves.take(j, axis=1) * t
+    reg = np.argmax(np.concatenate((curves[:, :1], inner, curves[:, -1:]), axis=1), axis=0)
     change = reg[1:] != reg[:-1]
-    return cand[change], np.concatenate([reg[:1], reg[1:][change]]).astype(np.int64)
+    return cand[change], np.concatenate((reg[:1], reg[1:][change]))
 
 
 class _StepPolicy:
@@ -174,15 +184,20 @@ class _StepPolicy:
     takes the region after the last break <= z, so the lookup is a count of
     the breaks <= z.
 
-    The count goes through ``8 * len(breaks)`` uniform buckets between the
-    first and last break, plus one bucket below and one above.  A value v
-    lands in bucket ``int(clip((v - b0) * inv + 1, 0, top))``.  Every step of
-    that float expression is monotone non-decreasing in v, so a break in a
-    lower bucket than z is <= z and a break in a higher bucket is > z.  Only
-    the breaks sharing z's bucket are compared, which makes the count exact:
-    it equals a binary search for every z, breaks themselves included.
-    ``_start[j]`` counts the breaks in buckets below j and ``_table[q, j]``
-    holds the q-th break of bucket j (+inf where the bucket has fewer).
+    The count goes through ``nbuckets = 8 * len(breaks)`` uniform buckets
+    of width ``1 / inv`` from the first break to the last, plus one bucket
+    below.  A value v lands in bucket ``int(clip(v - lo, 0, hi) * inv)``,
+    where ``lo`` lies one width below the first break and ``hi`` is the
+    last break's distance from it: bucket 0 below the first break, bucket
+    nbuckets + 1 at most.  The clip comes before the multiply, so no ratio
+    makes it overflow and a lookup raises no floating-point warning of its
+    own.  Every step of that float expression is monotone non-decreasing in
+    v, so a break in a lower bucket than z is <= z and a break in a higher
+    bucket is > z.  Only the breaks sharing z's bucket are compared, which
+    makes the count exact: it equals a binary search for every z, breaks
+    themselves included.  ``_start[j]`` counts the breaks in buckets below j
+    and ``_table[q, j]`` holds the q-th break of bucket j (+inf where the
+    bucket has fewer).
 
     ``offsets`` are the regions as row offsets into a flattened
     (allocation, path) slab of n paths, so :meth:`flat_index` turns a
@@ -194,15 +209,15 @@ class _StepPolicy:
         self.offsets = regions * n
         self._paths = np.arange(n)
         nb = breaks.shape[0]
-        self._b0 = float(breaks[0]) if nb else 0.0
-        span = float(breaks[-1]) - self._b0 if nb else 0.0
+        first, last = (float(breaks[0]), float(breaks[-1])) if nb else (0.0, 0.0)
         # breaks cluster where curves cross; eight buckets per break leave
         # most buckets with at most one
         nbuckets = 8 * nb
         # one bucket for zero span (one break) or a span too small to invert
-        inv = nbuckets / span if span > 0.0 else 0.0
+        inv = nbuckets / (last - first) if last > first else 0.0
         self._inv = inv if np.isfinite(inv) else 0.0
-        self._top = float(nbuckets + 1)
+        self._lo = first - (1.0 / self._inv if self._inv else 0.0)
+        self._hi = last - self._lo
         home = self._bucket(breaks)
         self._start = np.searchsorted(home, np.arange(nbuckets + 2), side="left")
         width = int(np.bincount(home).max()) if nb else 0
@@ -210,28 +225,26 @@ class _StepPolicy:
         self._table[np.arange(nb) - self._start[home], home] = breaks
 
     def _bucket(self, z: np.ndarray) -> np.ndarray:
-        v = z - self._b0
-        with np.errstate(over="ignore"):  # a ratio far above the span: clipped below
-            v *= self._inv
-        v += 1.0
-        np.clip(v, 0.0, self._top, out=v)
+        v = z - self._lo
+        np.clip(v, 0.0, self._hi, out=v)
+        v *= self._inv
         return v.astype(np.intp)
 
     def count(self, z: np.ndarray) -> np.ndarray:
         """Number of breaks <= z, elementwise."""
         j = self._bucket(z)
-        c = self._start[j]
+        c = self._start.take(j)
         for row in self._table:
-            c += z >= row[j]
+            c += z >= row.take(j)
         return c
 
     def choose(self, z: np.ndarray) -> np.ndarray:
         """Grid indices the policy picks for ratios z."""
-        return self.regions[self.count(z)]
+        return self.regions.take(self.count(z))
 
     def flat_index(self, z: np.ndarray) -> np.ndarray:
         """``region * n + path`` for ratios z whose last axis runs over the paths."""
-        idx = self.offsets[self.count(z)]
+        idx = self.offsets.take(self.count(z))
         idx += self._paths
         return idx
 
@@ -347,7 +360,8 @@ class _SnakeSolver:
         """
         z = self.z[start, paths]
         for s in range(start, self.nd):
-            z = z * self.factors[s][self.decisions[s, paths], paths]
+            at = self.decisions[s].take(paths) * self.n + paths
+            z = z * self._flat_factors[s].take(at)
             self.z[s + 1, paths] = z
 
     def _stale(self, s: int) -> bool:

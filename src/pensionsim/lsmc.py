@@ -10,11 +10,11 @@ nested simulation:
   neighbours of the query point.  The fit is split into a design step
   (``_loess_geometry``: sort, windows, weights and moment sums for given
   training abscissae and query points) and an apply step (``_loess_apply``:
-  a batch of response rows on that design, each window read as a contiguous
-  slice of the sorted rows and every window's moment sums taken by one
-  batched matmul).  This is the package's only LOESS; the
-  dynamic-programming solver fits its expected-utility curves with the same
-  two steps.
+  a batch of response rows on that design, each window read as one
+  contiguous block of the responses sorted path-major and every window's
+  moment sums taken by one batched matmul).  This is the package's only
+  LOESS; the dynamic-programming solver fits its expected-utility curves
+  with the same two steps.
 * :class:`InflationEstimator` — the per-(path, year) table of expected
   annual inflation, one cumulative-inflation cross-sectional line fit per
   observation year.
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ParameterError
 
@@ -120,12 +119,12 @@ class _LoessDesign:
     tri-cube weights and normal-equation coefficients.
 
     The neighbours of query i are the ``win`` training points
-    ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae and every
-    window is a contiguous run of the sorted sample, so the apply step sorts
-    each response row once and reads each window as a slice.  ``ws[i, j]``
-    holds the weight of window point j and that weight times its centred
-    abscissa (and times its square at degree 2): the columns of one
-    (window, moment) matrix per query.
+    ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae (ties in
+    input order) and every window is a contiguous run of the sorted sample,
+    so the apply step sorts the responses once and reads each window as a
+    slice.  ``ws[i, j]`` holds the weight of window point j and that weight
+    times its centred abscissa (and times its square at degree 2): the
+    columns of one (window, moment) matrix per query.
     """
 
     n_queries: int
@@ -140,7 +139,6 @@ class _LoessDesign:
     s2: np.ndarray | None = None
     s3: np.ndarray | None = None
     s4: np.ndarray | None = None
-    base: np.ndarray | None = None
     ok1: np.ndarray | None = None
     ok2: np.ndarray | None = None
     det1: np.ndarray | None = None
@@ -151,6 +149,14 @@ class _LoessDesign:
     none_mask: np.ndarray | None = None
 
 
+def _windows(rows: np.ndarray, win: int) -> np.ndarray:
+    """``sliding_window_view`` of C-contiguous ``rows`` over its first axis,
+    shape (start, win, *rest), at a fraction of the call cost; the
+    constructor checks the view against the array's bounds."""
+    shape = (rows.shape[0] - win + 1, win) + rows.shape[1:]
+    return np.ndarray(shape, rows.dtype, rows, 0, rows.strides[:1] + rows.strides)
+
+
 def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -> _LoessDesign:
     """Sort, windows, tri-cube weights and moment sums of a LOESS design.
 
@@ -158,12 +164,18 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     is evaluated at; ``d`` and ``degree`` are as in :class:`LoessModel`.
     """
     n = x.shape[0]
-    if n < 2 or x.min() == x.max():
+    # ties are ordered as a stable sort orders them, since the windows and
+    # the nearest-value fallback read that order; without ties every sort
+    # gives the one sorting permutation, and the default sort is faster
+    order = np.argsort(x)
+    xs = x.take(order)
+    if n < 2 or xs[0] == xs[-1]:
         # one distinct training abscissa: every fit degenerates to the mean
         return _LoessDesign(n_queries=queries.shape[0], mean_only=True)
+    if (xs[1:] == xs[:-1]).any():
+        order = np.argsort(x, kind="stable")
+        xs = x.take(order)
 
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
     k = _window_size(d, n)
     if k < n:
         # window-start boundaries: a query above (xs[s] + xs[s+k])/2 shifts
@@ -174,16 +186,19 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     else:
         lo = np.zeros(queries.shape, dtype=int)
         win = n
-    xc = sliding_window_view(xs, win)[lo]
+    xc = _windows(xs, win)[lo]
     xc -= queries[:, None]
     # u = dist / dk lies in [0, 1].  Where the k nearest points all coincide
-    # with the query (dk = 0) every distance is 0, and so every weight is 1
+    # with the query (dk = 0) every distance is 0, and so every weight is 1.
+    # A window is sorted, so its largest distance sits at one of its ends
     u = np.abs(xc)
-    dk = u.max(axis=1)
+    dk = np.maximum(u[:, 0], u[:, -1])
     u /= np.where(dk == 0.0, 1.0, dk)[:, None]
+    # a tri-cube weight is positive exactly where u < 1: below 1 the rounded
+    # u^3 stays below 1, and the cube of 1 - u^3 >= 2^-53 cannot underflow
+    npos = np.count_nonzero(u < 1.0, axis=1)
     ws = np.empty(xc.shape + (degree + 1,))
     w = _tricube(u, out=ws[..., 0])
-    npos = np.count_nonzero(w > 0.0, axis=1)
     wx = np.multiply(w, xc, out=ws[..., 1])
     s0 = w.sum(axis=1)
     s1 = wx.sum(axis=1)
@@ -202,7 +217,6 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         s0=s0,
         s1=s1,
         s2=s2,
-        base=npos >= 1,
         ok1=want1 & (det1 > 1e-12 * s0 * s2),
         det1=det1,
         none_mask=none_mask,
@@ -236,38 +250,30 @@ def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
     """
     if design.mean_only:
         return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
-    # the windows, gathered straight into (query, response, window) order,
-    # times each query's (window, moment) weights: one batched matmul gives
+    # responses sorted path-major make each query's window one contiguous
+    # (window, response) block; its transpose, a layout BLAS reads as is,
+    # times the query's (window, moment) weights, one batched matmul, gives
     # every moment sum t[i, r, j] of every response row r at every query i
-    yw = sliding_window_view(responses[:, design.order], design.win, axis=1)
-    yw = yw.transpose(1, 0, 2)[design.lo]
-    t = np.matmul(yw, design.ws)
+    yw = _windows(responses.T.take(design.order, axis=0), design.win)[design.lo]
+    t = np.matmul(yw.transpose(0, 2, 1), design.ws)
     t0, t1 = t[..., 0].T, t[..., 1].T
 
-    fits = np.empty((responses.shape[0], design.n_queries))
-    base, ok1 = design.base, design.ok1
+    # a query without support or with a singular local design divides by
+    # zero here; the fit it falls back to replaces that value
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_pred = np.where(base, t0 / np.where(base, design.s0, 1.0), 0.0)
-    fits[:, base] = mean_pred[:, base]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pred1 = (design.s2 * t0 - design.s1 * t1) / np.where(ok1, design.det1, 1.0)
-    fits[:, ok1] = pred1[:, ok1]
-
-    if design.ok2 is not None:
-        t2 = t[..., 2].T
-        s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
-        ok2 = design.ok2
-        with np.errstate(invalid="ignore", divide="ignore"):
+        fits = np.where(design.ok1, (design.s2 * t0 - design.s1 * t1) / design.det1, t0 / design.s0)
+        if design.ok2 is not None:
+            t2 = t[..., 2].T
+            s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
             num = t0 * design.c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
-            pred2 = num / np.where(ok2, design.det2, 1.0)
-        fits[:, ok2] = pred2[:, ok2]
+            fits = np.where(design.ok2, num / design.det2, fits)
 
     if np.any(design.none_mask):
         # all tri-cube weights vanished (every neighbour sits exactly at the
         # cutoff distance): fall back to the nearest training value, lowest
         # x first on ties
         for i in np.nonzero(design.none_mask)[0]:
-            fits[:, i] = yw[i, :, design.nearest[i]]
+            fits[:, i] = yw[i, design.nearest[i]]
     return fits
 
 

@@ -95,7 +95,7 @@ def einsum_loess_apply(design, responses):
     t1 = np.einsum("mw,kmw->km", design.ws[..., 1], yw)
 
     fits = np.empty((responses.shape[0], design.n_queries))
-    base, ok1 = design.base, design.ok1
+    base, ok1 = ~design.none_mask, design.ok1
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_pred = np.where(base, t0 / np.where(base, design.s0, 1.0), 0.0)
     fits[:, base] = mean_pred[:, base]
@@ -115,6 +115,42 @@ def einsum_loess_apply(design, responses):
     for i in np.nonzero(design.none_mask)[0]:
         fits[:, i] = yw[:, i, design.nearest[i]]
     return fits
+
+
+def _plin_eval(nodes, curves, q):
+    """Evaluate each piecewise-linear curve at q with flat extrapolation."""
+    j = np.clip(np.searchsorted(nodes, q, side="right"), 1, nodes.shape[0] - 1)
+    left = nodes[j - 1]
+    t = np.clip((q - left) / (nodes[j] - left), 0.0, 1.0)
+    return curves[:, j - 1] * (1.0 - t) + curves[:, j] * t
+
+
+def reference_envelope(nodes, curves):
+    """Reference upper envelope of fitted curves: ``(breaks, regions)``.
+
+    Computes every pair's crossing on every segment, dedupes the cuts with
+    ``np.unique`` and evaluates every probe, tails included, through the
+    clamped interpolation.  The solver's envelope must equal it bit for bit.
+    """
+    k, m = curves.shape
+    if m == 1 or k == 1:
+        return np.empty(0), np.array([int(np.argmax(curves[:, 0]))], dtype=np.int64)
+    left, right = curves[:, :-1], curves[:, 1:]
+    ia, ib = np.triu_indices(k, 1)
+    dl = left[ia] - left[ib]
+    dr = right[ia] - right[ib]
+    crossing = dl * dr < 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = dl / (dl - dr)
+    zc = nodes[:-1] + t * np.diff(nodes)
+    cand = np.unique(np.concatenate([nodes, zc[crossing]]))
+    probes = np.empty(cand.shape[0] + 1)
+    probes[1:-1] = (cand[:-1] + cand[1:]) / 2.0
+    probes[0] = cand[0] - 1.0
+    probes[-1] = cand[-1] + 1.0
+    reg = np.argmax(_plin_eval(nodes, curves, probes), axis=0)
+    change = reg[1:] != reg[:-1]
+    return cand[change], np.concatenate([reg[:1], reg[1:][change]]).astype(np.int64)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_run, dense_tranche_run, einsum_loess_apply, flat_params
+from conftest import (
+    assert_same_run,
+    dense_tranche_run,
+    einsum_loess_apply,
+    flat_params,
+    reference_envelope,
+)
 from pensionsim import (
     CombinationStrategy,
     DpConfig,
@@ -25,7 +31,7 @@ from pensionsim import (
     z_step,
 )
 from pensionsim import cli, dp
-from pensionsim.dp import _SnakeSolver, _StepPolicy
+from pensionsim.dp import _envelope, _SnakeSolver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.market import AnnuitySpec
 
@@ -283,6 +289,75 @@ def test_policy_lookup_interpolates_between_nodes(small_inputs):
     )
 
 
+@st.composite
+def _curve_sets(draw):
+    """Up to 6 curves on up to 12 evenly spaced nodes.
+
+    Curves on a few quarter levels tie, run parallel and cross exactly on
+    nodes; shifted copies of one curve run parallel throughout; free floats
+    cross anywhere.
+    """
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    lo = draw(st.floats(0.1, 3.0))
+    nodes = np.linspace(lo, lo + draw(st.floats(0.5, 5.0)), m)
+    kind = draw(st.sampled_from(["levels", "parallel", "free"]))
+    if kind == "levels":
+        cells = draw(st.lists(st.integers(-3, 3), min_size=k * m, max_size=k * m))
+        curves = np.array(cells, dtype=float).reshape(k, m) / 4.0
+    elif kind == "parallel":
+        base = np.array(draw(st.lists(st.floats(-10.0, 0.0), min_size=m, max_size=m)))
+        shifts = draw(st.lists(st.sampled_from([0.0, 0.25, -0.5]), min_size=k, max_size=k))
+        curves = base[None, :] + np.array(shifts)[:, None]
+    else:
+        cells = draw(st.lists(st.floats(-10.0, 0.0), min_size=k * m, max_size=k * m))
+        curves = np.array(cells).reshape(k, m)
+    return nodes, curves
+
+
+def _assert_same_envelope(nodes, curves):
+    breaks, regions = _envelope(nodes, curves)
+    # the reference divides by zero on coinciding nodes, then clips
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_breaks, want_regions = reference_envelope(nodes, curves)
+    assert breaks.tobytes() == want_breaks.tobytes()
+    assert np.array_equal(regions, want_regions)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_curve_sets())
+@example((np.array([1.0]), np.array([[-0.5], [-0.2], [-0.2]])))  # m = 1
+@example((np.linspace(1.0, 2.0, 5), np.full((1, 5), -1.0)))  # k = 1
+@example((np.linspace(1.0, 2.0, 3), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])))
+# a crossing at t = 1 that rounds one ulp past the last node, where curves 1
+# and 2 tie (a probe there evaluated with t > 1 would pick curve 2), and one
+# just below the last node whose midpoint with it rounds onto it
+@example((
+    np.array([0.0, 1.5 * 2.0**-52, 1.0 + 3 * 2.0**-52]),
+    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-30], [0.0, -1.0, 1e-30]]),
+))
+@example((np.array([1.0, 1.5, 2.0]), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0**-51]])))
+# coinciding first and last nodes, as linspace gives over a span of a few ulps
+@example((
+    np.array([1.0, 1.0, 1.5, 2.0, 2.0]),
+    np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.5, 0.0, 1.0]]),
+))
+def test_envelope_matches_reference(case):
+    _assert_same_envelope(*case)
+
+
+def test_envelope_matches_reference_in_a_solve(small_inputs, monkeypatch):
+    calls = []
+
+    def checked(nodes, curves):
+        calls.append(None)
+        _assert_same_envelope(nodes, curves)
+        return _envelope(nodes, curves)
+
+    monkeypatch.setattr(dp, "_envelope", checked)
+    solve_policy(small_inputs, TargetFrame.build(small_inputs, _params(small_inputs.T)), tau=0)
+    assert len(calls) > 100
+
+
 @pytest.mark.parametrize("nb", [0, 1, 3, 8, 9, 15])
 def test_step_policy_lookup_counts_breaks_at_or_below(nb):
     # uniformly drawn breaks and ratios, ratios sitting exactly on a break included
@@ -325,12 +400,16 @@ def test_step_policy_count_matches_direct_count(breaks, drawn):
     want = (breaks[None, :] <= z[:, None]).sum(axis=1)
     n = z.shape[0]
     regions = (np.arange(breaks.shape[0] + 1) * 7) % 6
-    policy = _StepPolicy(breaks, regions, n)
-    assert np.array_equal(policy.count(z), want)
     rows = np.stack([z, z[::-1]])
+    # the lookups stay free of floating-point warnings on their own, for
+    # any positive ratio, whatever error state their caller sets
+    with np.errstate(all="raise"):
+        policy = _StepPolicy(breaks, regions, n)
+        count, chosen, flat = policy.count(z), policy.choose(z), policy.flat_index(rows)
+    assert np.array_equal(count, want)
+    assert np.array_equal(chosen, regions[want])
     assert np.array_equal(
-        policy.flat_index(rows),
-        np.stack([regions[want], regions[want[::-1]]]) * n + np.arange(n),
+        flat, np.stack([regions[want], regions[want[::-1]]]) * n + np.arange(n)
     )
 
 

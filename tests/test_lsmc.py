@@ -243,6 +243,21 @@ def test_loess_apply_matches_einsum_reference(x, q, d, degree):
         assert design.none_mask.any() == (d < 1.0 and x.shape[0] == 40)
 
 
+def _duplicated_set():
+    """2000 drawn abscissae, 50 of them appearing twice."""
+    x = np.random.default_rng(9).lognormal(size=2000)
+    x[1950:] = x[:50]
+    return x
+
+
+@pytest.mark.parametrize("x, d", [(_TIED_X, 0.1), (_TIED_X, 1.0), (_duplicated_set(), 0.2)])
+def test_loess_design_orders_ties_as_a_stable_sort(x, d):
+    # tied abscissae keep their input order: window membership at the edge
+    # and the nearest-value fallback read it
+    design = _loess_geometry(x, np.linspace(x.min(), x.max(), 11), d, 1)
+    assert np.array_equal(design.order, np.argsort(x, kind="stable"))
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_loess_design_holds_no_more_than_its_weight_columns(degree):
     # the design keeps one (query, window, moment) weight tensor; a stacked
