@@ -78,10 +78,8 @@ from .strategies import (
     TargetFrame,
     TargetParams,
     cumulative_step,
-    cumulative_target,
     optimize_static_mix,
     static_step,
-    target_wealth_factor,
 )
 
 __version__ = "0.1.0"

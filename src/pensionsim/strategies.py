@@ -20,7 +20,9 @@ only says how alpha is chosen.  Both kernels keep their state year-major,
 one contiguous row per year: the wealth and alpha panels, the tranche
 wealth laid out (tau, path), and the tranche index record as a
 (t, tau, path) triangle.  Callers see (path, year) and (path, tau) arrays
-through transposed views.
+through transposed views.  ``_pairwise_sum`` adds each path's tranches down a
+(tau, path) block in numpy's order for a row, pinned by
+``test_pairwise_sum_matches_numpy_row_sums``.
 """
 
 from __future__ import annotations
@@ -43,10 +45,8 @@ __all__ = [
     "TargetFrame",
     "TargetParams",
     "cumulative_step",
-    "cumulative_target",
     "optimize_static_mix",
     "static_step",
-    "target_wealth_factor",
 ]
 
 
@@ -124,43 +124,6 @@ def static_step(mix_or_glide, age: int) -> float:
     return mix
 
 
-def target_wealth_factor(pi, tau: int, t: int, params: TargetParams, expected_rate: float) -> float:
-    """Compounding factor E_t F_tau of one contribution toward the target.
-
-    Realized inflation ``pi`` (a single path) is used between tau and t,
-    the current expected rate beyond t.
-    """
-    if not 0 <= tau <= t <= params.T:
-        raise ParameterError(f"need 0 <= tau <= t <= T, got tau={tau}, t={t}, T={params.T}")
-    pi = np.asarray(pi, dtype=float)
-    realized = 1.0 + params.r + pi[tau + 1 : t + 1]
-    future = 1.0 + params.r + expected_rate
-    if np.any(realized <= 0.0) or future <= 0.0:
-        raise DomainError("target growth factor 1 + r + inflation must stay positive")
-    return float(np.prod(realized) * future ** (params.T - t))
-
-
-def cumulative_target(
-    pi,
-    contributions,
-    t: int,
-    params: TargetParams,
-    M_t: float,
-    m_tilde: float,
-    expected_rate: float,
-) -> float:
-    """Aggregate wealth target (M_t / M~_T) * sum_tau c_tau * E_t F_tau."""
-    if m_tilde <= 0.0:
-        raise DomainError(f"post-retirement factor must be positive, got {m_tilde}")
-    c = np.asarray(contributions, dtype=float)
-    if c.shape[0] < t + 1:
-        raise ParameterError(f"need contributions c_0..c_{t}, got {c.shape[0]}")
-    total = sum(
-        c[tau] * target_wealth_factor(pi, tau, t, params, expected_rate) for tau in range(t + 1)
-    )
-    return M_t / m_tilde * total
-
-
 @dataclass
 class TargetFrame:
     """All target-wealth panels for one scenario set and one ``TargetParams``.
@@ -168,11 +131,12 @@ class TargetFrame:
     ``build`` checks that 1 + r + pi and 1 + r + I_t stay positive and
     computes ``growth_exp[:, t]``, the expected factor (1 + r + I_t)^(T-t);
     every other panel is built on first read.  ``cumq[t]`` compounds
-    1 + r + pi through year t, held year-major (T + 1, n_paths) for its
-    per-year readers ``tranche_targets`` and ``factor``; ``acc`` accumulates
-    contributions at realized 1 + r + pi, ``er[:, t]`` is the one-year
-    growth of any tranche target excluding the annuity-factor move, and
-    ``target_cum`` is the aggregate target.
+    1 + r + pi through year t; it and ``c_by_year``, the contributions, are
+    held year-major (T + 1, n_paths), so ``tranche_targets`` reads
+    contiguous rows.  ``acc`` accumulates contributions at realized
+    1 + r + pi, ``er[:, t]`` is the one-year growth of any tranche target
+    excluding the annuity-factor move, and ``target_cum`` is the aggregate
+    target.
     """
 
     params: TargetParams
@@ -206,6 +170,10 @@ class TargetFrame:
         return cumq
 
     @cached_property
+    def c_by_year(self) -> np.ndarray:
+        return self.contributions.T.copy()
+
+    @cached_property
     def er(self) -> np.ndarray:
         q, g = 1.0 + self.params.r + self.pi, self.growth_exp
         er = np.full_like(q, np.nan)
@@ -224,17 +192,13 @@ class TargetFrame:
     def target_cum(self) -> np.ndarray:
         return self.M * self.acc * self.growth_exp / self.m_tilde
 
-    def factor(self, tau: int, t: int) -> np.ndarray:
-        """E_t F_tau per path."""
-        return self.cumq[t] / self.cumq[tau] * self.growth_exp[:, t]
-
     def tranche_targets(self, t: int) -> np.ndarray:
         """Targets of all tranches born up to t, shape (n_paths, t + 1).
 
         A transposed view of the year-major (t + 1, n_paths) block.
         """
         scale = self.M[:, t] * self.growth_exp[:, t] / self.m_tilde
-        targets = np.multiply(scale, self.contributions[:, : t + 1].T, order="C")
+        targets = scale * self.c_by_year[: t + 1]
         targets *= self.cumq[t] / self.cumq[: t + 1]
         return targets.T
 
@@ -320,48 +284,84 @@ def _accumulate(inputs: SimulationInputs, decide):
     return wealth.T, alpha.T
 
 
+def _pairwise_sum(rows, acc, out):
+    """Sum a (k, n_paths) block over its rows into ``out``, in numpy's order.
+
+    Each path adds as ``np.add.reduce`` adds one contiguous row of k terms:
+    from 0.0, in sequence below 8 terms; up to 128 in 8 running sums combined
+    pairwise, then the rest; above that, in two parts split at half the
+    length rounded down to a multiple of 8.  ``acc`` is (8, n_paths) scratch,
+    or ``rows[:8]`` to sum in place.
+    """
+    k = len(rows)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        _pairwise_sum(rows[:half], acc, out)
+        return np.add(out, _pairwise_sum(rows[half:], acc, np.empty_like(out)), out=out)
+    m = k - k % 8
+    if m == 0:
+        np.add(rows[0], 0.0, out=out)
+        m = 1
+    else:
+        first = rows
+        if m > 8:
+            np.add(rows[:8], rows[8:16], out=acc)
+            for i in range(16, m, 8):
+                acc += rows[i : i + 8]
+            first = acc
+        np.add(first[0:8:2], first[1:8:2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=out)
+        out += 0.0  # the start from 0.0: an all -0.0 sum is +0.0
+    for row in rows[m:]:
+        out += row
+    return out
+
+
 def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> StrategyOutcome:
     """One pot per contribution tranche, each held at one of ``values``.
 
     ``decide(t, live)`` returns the indices into ``values`` of the tranches
     born up to t, where ``live`` holds their decision-time wealth, both
-    (n_paths, t + 1).  The state is year-major, so each year is a few
-    whole-block operations: the tranche wealth is laid out (tau, path), and
+    (n_paths, t + 1).  The state is year-major, so each year is a few passes
+    over contiguous rows: the tranche wealth is laid out (tau, path), and
     ``record`` keeps the indices as a (t, tau, path) triangle, in the
-    narrowest unsigned type that holds every index.  The per-path sums run
-    on a (path, tau) copy, so each path's tranches add in numpy's order for
-    a row.  The aggregate alpha is the wealth-weighted tranche allocation,
-    0 where the path holds no wealth.
+    narrowest unsigned type that holds every index.  One flat index per
+    year, value * n_paths + path, gathers the tranches' allocations and next
+    year's growth.  Each path's tranches add on the (tau, path) block, no
+    copy made, in numpy's order for a row (:func:`_pairwise_sum`, pinned by
+    ``test_pairwise_sum_matches_numpy_row_sums``).  The aggregate alpha is
+    the wealth-weighted tranche allocation, 0 where the path holds no wealth.
     """
     T, n = inputs.T, inputs.n_paths
     x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
     values = np.asarray(values, dtype=float)
+    table = np.repeat(values, n)  # the allocation per (value, path)
     record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
     start = 0
     tranche_wealth = np.zeros((T + 1, n))
-    by_path = np.empty(n * (T + 1))
-    paths = np.arange(n)
+    acc, weighted, paths = np.empty((8, n)), np.empty(n), np.arange(n)
     wealth = np.empty((T + 1, n))
     alpha = np.empty((T + 1, n))
     for t in range(T + 1):
-        if t > 0:
-            # the growth of one unit per (value, path), gathered per tranche
-            factor = _grown(1.0, values[:, None], x[:, t], m[:, t])
-            flat = np.multiply(idx, n, dtype=np.intp)
-            flat += paths
-            tranche_wealth[:t] *= factor.take(flat)
         tranche_wealth[t] = c[:, t]
         live = tranche_wealth[: t + 1]
         idx = record[start : start + n * (t + 1)].reshape(t + 1, n)
         idx.T[...] = decide(t, live.T)
         start += idx.size
-        held = by_path[: idx.size].reshape(n, t + 1)
-        held[...] = live.T
-        wealth[t] = held.sum(axis=1)
-        held[...] = (live * values.take(idx)).T
-        weighted = held.sum(axis=1)
+        flat = np.multiply(idx, n, dtype=np.intp)
+        flat += paths
+        held = table.take(flat)
+        held *= live
+        _pairwise_sum(live, acc, wealth[t])
+        _pairwise_sum(held, held[:8], weighted)
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[t] = np.where(wealth[t] > 0, weighted / wealth[t], 0.0)
+        if t < T:
+            # one unit's growth per (value, path); the take above checked every index
+            factor = _grown(1.0, values[:, None], x[:, t + 1], m[:, t + 1])
+            live *= np.take(factor, flat, out=held, mode="wrap")
+        del flat, held  # next year's decide runs without them
     return StrategyOutcome(label=label, wealth=wealth.T, alpha=alpha.T, tranches=(values, record))
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pensionsim import ModelParams, SimulationInputs, simulate
+from pensionsim.errors import DomainError, ParameterError
 from pensionsim.market import AnnuitySpec
 
 
@@ -71,6 +72,49 @@ def dense_tranche_run(inputs, decide):
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
     return wealth, alpha, panel
+
+
+def target_wealth_factor(pi, tau, t, params, expected_rate):
+    """Scalar oracle for the compounding factor E_t F_tau of one contribution
+    toward the target, which ``TargetFrame`` computes for all paths at once.
+
+    Realized inflation ``pi`` (a single path) is used between tau and t,
+    the current expected rate beyond t.
+    """
+    if not 0 <= tau <= t <= params.T:
+        raise ParameterError(f"need 0 <= tau <= t <= T, got tau={tau}, t={t}, T={params.T}")
+    pi = np.asarray(pi, dtype=float)
+    realized = 1.0 + params.r + pi[tau + 1 : t + 1]
+    future = 1.0 + params.r + expected_rate
+    if np.any(realized <= 0.0) or future <= 0.0:
+        raise DomainError("target growth factor 1 + r + inflation must stay positive")
+    return float(np.prod(realized) * future ** (params.T - t))
+
+
+def cumulative_target(pi, contributions, t, params, M_t, m_tilde, expected_rate):
+    """Scalar oracle for the aggregate wealth target
+    (M_t / M~_T) * sum_tau c_tau * E_t F_tau of ``TargetFrame.target_cum``.
+    """
+    if m_tilde <= 0.0:
+        raise DomainError(f"post-retirement factor must be positive, got {m_tilde}")
+    c = np.asarray(contributions, dtype=float)
+    if c.shape[0] < t + 1:
+        raise ParameterError(f"need contributions c_0..c_{t}, got {c.shape[0]}")
+    total = sum(
+        c[tau] * target_wealth_factor(pi, tau, t, params, expected_rate) for tau in range(t + 1)
+    )
+    return M_t / m_tilde * total
+
+
+def reference_tranche_targets(frame, t):
+    """Reference ``TargetFrame.tranche_targets``: reads the path-major
+    contributions through a strided transposed view.  The frame's
+    year-major read must equal it bit for bit.
+    """
+    scale = frame.M[:, t] * frame.growth_exp[:, t] / frame.m_tilde
+    targets = np.multiply(scale, frame.contributions[:, : t + 1].T, order="C")
+    targets *= frame.cumq[t] / frame.cumq[: t + 1]
+    return targets.T
 
 
 def assert_same_run(outcome, reference):

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import assert_same_run, dense_accumulate, dense_tranche_run, flat_params
+from conftest import (
+    assert_same_run,
+    cumulative_target,
+    dense_accumulate,
+    dense_tranche_run,
+    flat_params,
+    reference_tranche_targets,
+    target_wealth_factor,
+)
 from pensionsim import (
     CareerSchedule,
     CombinationStrategy,
@@ -18,17 +26,15 @@ from pensionsim import (
     TargetFrame,
     TargetParams,
     cumulative_step,
-    cumulative_target,
     default_schedule,
     optimize_static_mix,
     post_retirement_factor,
     simulate,
     static_step,
-    target_wealth_factor,
 )
 from pensionsim.errors import DomainError, EngineError, ParameterError, ScheduleError
 from pensionsim.market import AnnuitySpec
-from pensionsim.strategies import _run_tranches
+from pensionsim.strategies import _pairwise_sum, _run_tranches
 
 
 def _params(T, r=0.02):
@@ -152,15 +158,28 @@ def test_target_frame_decomposes_into_tranches(small_inputs):
 
 
 def test_target_frame_factor_matches_scalar_function(small_inputs):
+    # the kernel reads E_t F_tau through the tranche targets:
+    # (M_t / M~) * c_tau * E_t F_tau per path
     p = _params(small_inputs.T)
     frame = TargetFrame.build(small_inputs, p)
     pi = small_inputs.scenarios.pi
     rates = small_inputs.inflation.rates
+    c = small_inputs.contributions
     for tau, t in ((0, 0), (2, 7), (5, small_inputs.T)):
-        vec = frame.factor(tau, t)
+        vec = frame.tranche_targets(t)[:, tau]
         for path in (0, 17, 201):
+            scale = frame.M[path, t] / frame.m_tilde
             scalar = target_wealth_factor(pi[path], tau, t, p, expected_rate=rates[path, t])
-            np.testing.assert_allclose(vec[path], scalar, rtol=1e-12)
+            np.testing.assert_allclose(vec[path], scale * c[path, tau] * scalar, rtol=1e-12)
+
+
+def test_tranche_targets_equal_strided_reference(small_inputs, default_inputs):
+    for inputs in (small_inputs, default_inputs):
+        frame = TargetFrame.build(inputs, _params(inputs.T))
+        for t in range(inputs.T + 1):
+            got = frame.tranche_targets(t)
+            assert got.shape == (inputs.n_paths, t + 1)
+            assert np.array_equal(got, reference_tranche_targets(frame, t))
 
 
 def test_target_frame_cumulative_target_matches_scalar_formula(small_inputs):
@@ -322,6 +341,27 @@ def test_individual_run_tranche_switches_once(small_inputs):
         downs = (np.diff(col, axis=1) < 0).sum(axis=1)
         assert downs.max() <= 1
     assert (outcome.alpha >= 0.0).all() and (outcome.alpha <= 1.0).all()
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_pairwise_sum_matches_numpy_row_sums(n):
+    # the kernel sums each path's tranches down a (tau, path) block; every
+    # path must come out as numpy's own sum of that path's contiguous row,
+    # so a change to numpy's summation order fails here
+    rng = np.random.default_rng(2011)
+    for k in range(1, 301):
+        block = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (k, n))
+        block[rng.random((k, n)) < 0.1] = 0.0
+        block[rng.random((k, n)) < 0.1] = -0.0
+        if n > 1:
+            block[:, 0] = -0.0  # numpy sums a row of -0.0 to +0.0
+        expected = np.add.reduce(np.ascontiguousarray(block.T), axis=1).view(np.uint64)
+        kept = block.copy()
+        got = _pairwise_sum(block, np.empty((8, n)), np.empty(n))
+        assert np.array_equal(got.view(np.uint64), expected), k
+        assert np.array_equal(block.view(np.uint64), kept.view(np.uint64))
+        got = _pairwise_sum(block, block[:8], np.empty(n))  # in place
+        assert np.array_equal(got.view(np.uint64), expected), k
 
 
 @pytest.mark.parametrize("a", [0.0, 0.37, 1.0])
