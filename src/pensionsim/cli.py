@@ -29,13 +29,9 @@ import numpy as np
 from .career import default_schedule, schedule_from_csv
 from .dp import CombinationStrategy, DpConfig, export_policy_csv, solve_policy
 from .engine import SimulationInputs
-from .errors import ConfigError, ContractError, DomainError, EngineError, EstimatorError
+from .errors import ConfigError, DomainError, EngineError, EstimatorError
 from .market import AnnuitySpec
-from .metrics import (
-    REPORT_COLUMNS,
-    evaluate_strategy,
-    frontier,
-)
+from .metrics import REPORT_COLUMNS, evaluate_strategy, frontier
 from .scenario import ModelParams, export_csv, ingest, simulate, summarize
 from .strategies import (
     CumulativeTargetStrategy,
@@ -120,9 +116,6 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def is_set(self, key: str) -> bool:
-        return key in self.explicit
-
 
 def default_config() -> RunConfig:
     return RunConfig(values={k: v for k, (v, _) in DEFAULTS.items()})
@@ -139,10 +132,13 @@ def _coerce(key: str, text: str, kind, where: str):
     try:
         if kind is int:
             return int(text, 10)
-        return float(text)
+        value = float(text)
     except ValueError:
         name = "integer" if kind is int else "number"
         raise ConfigError(f"{where}: {key} expects {name}, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: {key} expects a finite number, got {text!r}")
+    return value
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -175,18 +171,20 @@ def parse_config(path: str | None) -> RunConfig:
     return cfg
 
 
+# integer key -> its least admissible value; ``run`` checks the seed and
+# threads overrides against the same bounds
+_LEAST = {"n_paths": 2, "horizon": 2, "seed": 0, "threads": 0, "annuity.T": 1, "annuity.N": 1}
+
+
+def _check_least(key: str, value: int) -> None:
+    if value < _LEAST[key]:
+        raise ConfigError(f"{key} must be >= {_LEAST[key]}, got {value}")
+
+
 def _validate(cfg: RunConfig) -> None:
     v = cfg.values
-    if v["n_paths"] < 2:
-        raise ConfigError(f"n_paths must be >= 2, got {v['n_paths']}")
-    if v["horizon"] < 2:
-        raise ConfigError(f"horizon must be >= 2, got {v['horizon']}")
-    if v["seed"] < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {v['seed']}")
-    if v["threads"] < 0:
-        raise ConfigError(f"threads must be >= 0, got {v['threads']}")
-    if v["annuity.T"] < 1 or v["annuity.N"] < 1:
-        raise ConfigError("annuity.T and annuity.N must be >= 1")
+    for key in _LEAST:
+        _check_least(key, v[key])
     if v["scenario.file"]:
         generation = [k for k in cfg.explicit if k.startswith("model.") or k in ("n_paths", "horizon")]
         if generation:
@@ -218,10 +216,11 @@ def _validate(cfg: RunConfig) -> None:
         ("frontier.r_step", v["frontier.r_max"] - v["frontier.r_min"]),
     ):
         steps = span / v[key]
-        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0):
+        # a step longer than a non-empty span would leave one grid point
+        if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0) or (span > 0 and round(steps) == 0):
             raise ConfigError(f"{key} = {v[key]!r} does not divide its span {span!r}")
-    if v["evaluation.estimation_lag"] < 0:
-        raise ConfigError("evaluation.estimation_lag must be >= 0")
+    if not 0 <= v["evaluation.estimation_lag"] <= v["annuity.T"]:
+        raise ConfigError("evaluation.estimation_lag must lie in 0..annuity.T")
     try:
         _dp_config(cfg)
         _model_params(cfg).validate()
@@ -341,19 +340,11 @@ class _Outputs:
         self.written: list = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def write(self, name: str, text: str) -> str:
+    def path(self, name: str) -> str:
+        """Path of the output file ``name``, tracked before anything writes it,
+        so ``cleanup`` also removes a file that a writer left part-way."""
         path = os.path.join(self.out_dir, name)
         self.written.append(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        return path
-
-    def write_with(self, name: str, writer) -> str:
-        """Route a path-taking writer (e.g. export_csv) through the tracker."""
-        path = os.path.join(self.out_dir, name)
-        # tracked before the write: a writer that fails part-way leaves a file
-        self.written.append(path)
-        writer(path)
         return path
 
     def cleanup(self) -> None:
@@ -364,6 +355,11 @@ class _Outputs:
                 pass
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=None) -> list:
     """Execute one subcommand; returns the list of files written."""
     if subcommand not in SUBCOMMANDS:
@@ -371,6 +367,8 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
     v = cfg.values
     seed = v["seed"] if seed is None else int(seed)
     threads = v["threads"] if threads is None else int(threads)
+    _check_least("seed", seed)
+    _check_least("threads", threads)
     if threads <= 0:
         # the cores this process may run on, not every host CPU: each
         # tranche worker is a whole process
@@ -382,8 +380,8 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
     try:
         if subcommand == "simulate":
             scenarios = _build_scenarios(cfg, seed, threads)
-            outputs.write_with("scenarios.csv", lambda p: export_csv(scenarios, p))
-            outputs.write_with("moments.csv", summarize(scenarios).write_csv)
+            export_csv(scenarios, outputs.path("scenarios.csv"))
+            summarize(scenarios).write_csv(outputs.path("moments.csv"))
         elif subcommand == "evaluate":
             inputs = _build_inputs(cfg, seed, threads)
             kind = v["strategy.kind"]
@@ -395,17 +393,17 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
                 inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
             )
             text = ",".join(REPORT_COLUMNS) + "\n" + report.csv_row() + "\n"
-            outputs.write("report.csv", text)
+            _write_text(outputs.path("report.csv"), text)
         elif subcommand == "solve-dp":
             inputs = _build_inputs(cfg, seed, threads)
             params = _target_params(cfg, v["strategy.r"])
             frame = TargetFrame.build(inputs, params)
             policy = solve_policy(inputs, frame, _dp_config(cfg), tau=0)
-            outputs.write("policy.csv", export_policy_csv(policy))
+            _write_text(outputs.path("policy.csv"), export_policy_csv(policy))
             trace = "iteration,mean_utility\n" + "".join(
                 f"{i + 1},{u!r}\n" for i, u in enumerate(policy.utility_trace)
             )
-            outputs.write("dp_trace.csv", trace)
+            _write_text(outputs.path("dp_trace.csv"), trace)
         elif subcommand == "frontier":
             inputs = _build_inputs(cfg, seed, threads)
             families = {}
@@ -426,7 +424,7 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
                 N=v["annuity.N"],
             )
             text = "family,param,shortfall,cvar10\n" + "".join(r.csv_row() + "\n" for r in rows)
-            outputs.write("frontier.csv", text)
+            _write_text(outputs.path("frontier.csv"), text)
         else:  # report
             tokens = [tok.strip() for tok in v["report.strategies"].split(",") if tok.strip()]
             if not tokens:
@@ -445,7 +443,7 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
                     inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
                 )
                 lines.append(report.csv_row())
-            outputs.write("report.csv", "\n".join(lines) + "\n")
+            _write_text(outputs.path("report.csv"), "\n".join(lines) + "\n")
     except BaseException:
         outputs.cleanup()
         raise
@@ -489,7 +487,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         written = run(cfg, args.subcommand, args.out, seed=args.seed, threads=args.threads)
-    except (DomainError, EstimatorError, ContractError) as exc:
+    except (DomainError, EstimatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

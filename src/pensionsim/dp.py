@@ -20,7 +20,9 @@ Terminal utility rewards ending between the configured ratio bounds:
 
 whose maximum sits exactly at z_max.  :func:`utility_check` computes it and
 :func:`z_step` moves a ratio one year; the solver and the shared-mode
-strategy call these, with no copies.
+strategy call these, with no copies.  :func:`z_step` and ``_step_factors``,
+the solver's year-major (year, allocation, path) table of one-year factors,
+grow a ratio by the portfolio rule ``strategies._grown`` over its target.
 
 Each fitted step becomes a step policy over z (``_StepPolicy``, built once
 per changed envelope) with one exact lookup: breaks go into uniform buckets
@@ -45,7 +47,7 @@ import numpy as np
 from .engine import SimulationInputs
 from .errors import DomainError, ParameterError
 from .lsmc import _loess_apply, _loess_geometry
-from .strategies import StrategyOutcome, TargetFrame, TargetParams, _run_tranches
+from .strategies import StrategyOutcome, TargetFrame, TargetParams, _grown, _run_tranches
 
 __all__ = [
     "CombinationStrategy",
@@ -74,8 +76,9 @@ class DpConfig:
         g = np.asarray(self.grid, dtype=float)
         if g.size == 0:
             raise ParameterError("allocation grid must be non-empty")
-        if np.any(g < 0.0) or np.any(g > 1.0):
-            raise ParameterError("allocation grid must lie within [0, 1]")
+        # NaN fails both comparisons
+        if not np.all((g >= 0.0) & (g <= 1.0)):
+            raise ParameterError(f"allocation grid must lie within [0, 1], got {self.grid}")
         if np.any(np.diff(g) <= 0.0):
             raise ParameterError("allocation grid must be strictly increasing")
         if not 0.0 < self.z_min < self.z_max:
@@ -119,13 +122,11 @@ def z_step(z, alpha, x, m, expectation_ratio):
         raise DomainError("ratio must be positive")
     if np.any((alpha < 0.0) | (alpha > 1.0)):
         raise ParameterError("allocation must lie in [0, 1]")
-    growth = alpha * (1.0 + np.asarray(x, dtype=float)) + (1.0 - alpha) * (
-        1.0 + np.asarray(m, dtype=float)
-    )
-    denom = np.asarray(expectation_ratio, dtype=float) * (1.0 + np.asarray(m, dtype=float))
+    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    denom = np.asarray(expectation_ratio, dtype=float) * (1.0 + m)
     if np.any(denom <= 0.0):
         raise DomainError("target growth denominator must be positive")
-    out = z * growth / denom
+    out = _grown(z, alpha, x, m) / denom
     return out if out.ndim else float(out)
 
 
@@ -291,10 +292,6 @@ class PolicyModel:
         """Grid index of the optimal allocation at time t for ratios z (ties go low)."""
         return np.argmax(self.expected_utilities(t, z), axis=0)
 
-    def alpha_at(self, t: int, z) -> np.ndarray:
-        """Optimal grid allocation at time t for ratios z (ties go low)."""
-        return self.grid[self.choice_at(t, z)]
-
     def decision_table(self) -> list:
         """(t, z, alpha) rows sampled on the stored z-node grids."""
         rows = []
@@ -324,12 +321,12 @@ class _SnakeSolver:
         if np.any(factors <= 0.0):
             raise DomainError("ratio growth factors must be positive")
         self.cfg = cfg
-        # one contiguous (allocation, path) slab per step keeps the per-step
-        # gathers in the rollout and propagation cache-friendly
-        self.factors = np.ascontiguousarray(factors.transpose(2, 0, 1))
-        self.nd = factors.shape[2]
+        # the tranche's rows of the year-major factor table, kept as given: one
+        # contiguous (allocation, path) slab per step for the per-step gathers
+        self.factors = factors
+        self.nd = factors.shape[0]
         self.n = z0.shape[0]
-        self._flat_factors = self.factors.reshape(self.nd, -1)
+        self._flat_factors = factors.reshape(self.nd, -1)
         self._paths = np.arange(self.n)
         self.decisions = np.zeros((self.nd, self.n), dtype=np.int64)
         self.z = np.empty((self.nd + 1, self.n))
@@ -440,17 +437,23 @@ def _solve_decisions(z0: np.ndarray, factors: np.ndarray, cfg: DpConfig) -> np.n
 
 
 def _step_factors(inputs: SimulationInputs, frame: TargetFrame, cfg: DpConfig) -> np.ndarray:
-    """Per (allocation, path, year) growth factor of the ratio Z.
+    """Per (year, allocation, path) growth factor of the ratio Z.
 
-    Column t holds the factor over (t-1, t]; column 0 is unused padding.
+    Year-major, C-contiguous: row t holds the (allocation, path) factors over
+    (t-1, t], one unit grown by :func:`~pensionsim.strategies._grown` over
+    its target's growth; row 0 is unused padding.  A tranche born at tau
+    reads the rows ``tau + 1 .. T`` as one contiguous slice.
     """
-    grid = np.asarray(cfg.grid, dtype=float)[:, None, None]
-    x = inputs.scenarios.x[:, : inputs.T + 1][None, :, :]
-    m = inputs.market.m[None, :, :]
-    er = frame.er[None, :, :]
+    grid = np.asarray(cfg.grid, dtype=float)[:, None]
+    # year-major copies of the (path, year) panels: numpy lays each result
+    # out like its operands, so these make it (year, allocation, path)
+    x, m, er = (
+        np.ascontiguousarray(p[:, : inputs.T + 1].T)[:, None, :]
+        for p in (inputs.scenarios.x, inputs.market.m, frame.er)
+    )
     with np.errstate(invalid="ignore"):
-        factors = (grid * (1.0 + x) + (1.0 - grid) * (1.0 + m)) / (er * (1.0 + m))
-    factors[:, :, 0] = 1.0
+        factors = _grown(1.0, grid, x, m) / (er * (1.0 + m))
+    factors[0] = 1.0
     if np.any(factors <= 0.0) or not np.all(np.isfinite(factors)):
         raise DomainError("ratio growth factors must be positive and finite")
     return factors
@@ -469,7 +472,7 @@ def solve_policy(
         raise ParameterError(f"tranche birth year {tau} leaves no decision before T={T}")
     if factors is None:
         factors = _step_factors(inputs, frame, cfg)
-    solver = _SnakeSolver(frame.z0(tau), factors[:, :, tau + 1 : T + 1], cfg)
+    solver = _SnakeSolver(frame.z0(tau), factors[tau + 1 : T + 1], cfg)
     solver.solve()
     return PolicyModel(
         cfg=cfg,
@@ -518,7 +521,7 @@ class CombinationStrategy:
         T = inputs.T
 
         def tranche(tau: int) -> tuple:
-            return frame.z0(tau), factors[:, :, tau + 1 : T + 1], self.cfg
+            return frame.z0(tau), factors[tau + 1 : T + 1], self.cfg
 
         if self.threads == 1 or T < 2:
             policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)

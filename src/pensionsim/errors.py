@@ -1,5 +1,16 @@
 """Exception types shared across the engine."""
 
+__all__ = [
+    "ConfigError",
+    "DomainError",
+    "EngineError",
+    "EstimatorError",
+    "ParameterError",
+    "ScheduleError",
+    "SchemaError",
+    "ShapeError",
+]
+
 
 class EngineError(Exception):
     """Base class for every error raised by this package."""
@@ -27,10 +38,6 @@ class ScheduleError(EngineError):
 
 class EstimatorError(EngineError):
     """A fitted estimator produced values outside its admissible range."""
-
-
-class ContractError(EngineError):
-    """A caller violated an internal contract (e.g. an allocation outside [0, 1])."""
 
 
 class ConfigError(EngineError):

@@ -144,8 +144,6 @@ class _LoessDesign:
     det1: np.ndarray | None = None
     det2: np.ndarray | None = None
     c22: np.ndarray | None = None
-    c12: np.ndarray | None = None
-    c11: np.ndarray | None = None
     none_mask: np.ndarray | None = None
 
 
@@ -238,7 +236,7 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         design.s3, design.s4 = s3, s4
         design.ok2 = want2 & (det2 > 1e-10 * s0 * s2 * s4)
         design.det2 = det2
-        design.c22, design.c12, design.c11 = c22, c12, c11
+        design.c22 = c22
     return design
 
 

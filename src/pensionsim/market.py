@@ -34,7 +34,6 @@ class AnnuitySpec:
 
     T: int
     N: int
-    retirement_age: int = 66
 
     def __post_init__(self) -> None:
         if self.T < 1:

@@ -121,11 +121,11 @@ def cvar(samples, alpha: float) -> float:
 class ReplacementEstimators:
     """Mid-career replacement-ratio estimators on one prepared input set.
 
-    Fits one global linear regression of M_T on M_t per year and projects
-    future contributions, wage indexation and target growth from the current
-    expected inflation I_t (plus the wage spread for wages), held flat over
-    the remaining career, so both R_t and R*(t) are computable at any year
-    from information available then.  The flat-I_t projection is the one
+    Fits a global linear regression of M_T on M_t for the year asked and
+    projects future contributions, wage indexation and target growth from the
+    current expected inflation I_t (plus the wage spread for wages), held flat
+    over the remaining career, so both R_t and R*(t) are computable at any
+    year from information available then.  The flat-I_t projection is the one
     :class:`~pensionsim.strategies.TargetFrame` uses for E_t F_tau.
     """
 
@@ -133,20 +133,18 @@ class ReplacementEstimators:
         self.inputs = inputs
         self.params = params
         self.frame = TargetFrame.build(inputs, params)
-        T = inputs.T
-        M = inputs.market.M
-        self._m_fits = [regress_now(M[:, t], M[:, T]) for t in range(T)]
-        self._den_cache: dict = {}
         self._contrib_cache: dict = {}
 
     # -- building blocks ---------------------------------------------------
 
     def expected_market_factor(self, t: int) -> np.ndarray:
-        """E[M_T | year t] per path; exact at t = T."""
-        T = self.inputs.T
+        """E[M_T | year t] per path, from the line of M_T on M_t; exact at t = T."""
+        T, M = self.inputs.T, self.inputs.market.M
+        if not 0 <= t <= T:
+            raise ParameterError(f"t={t} outside 0..{T}")
         if t == T:
-            return self.inputs.market.M[:, T]
-        pred = _line_design(self.inputs.market.M[:, t]) @ self._m_fits[t]
+            return M[:, T]
+        pred = _line_design(M[:, t]) @ regress_now(M[:, t], M[:, T])
         if np.any(pred <= 0.0):
             raise EstimatorError("regressed terminal annuity factor is not positive")
         return pred
@@ -174,8 +172,6 @@ class ReplacementEstimators:
 
     def wage_denominator(self, t: int) -> np.ndarray:
         """Expected indexed wage sum sum_u s_u prod_{tau>u}(1+pi) seen from t."""
-        if t in self._den_cache:
-            return self._den_cache[t]
         inputs, T = self.inputs, self.inputs.T
         cum = inputs.inflation.cum[:, : T + 1]
         I_t = inputs.inflation.annual_rate(t)
@@ -188,7 +184,6 @@ class ReplacementEstimators:
         den = (salaries * index).sum(axis=1)
         if np.any(den <= 0.0):
             raise EstimatorError("expected indexed wage sum must be positive")
-        self._den_cache[t] = den
         return den
 
     def _grown_to_T(self, start: np.ndarray, t: int, last: int) -> np.ndarray:
@@ -272,13 +267,15 @@ def evaluate_strategy(
 
     ``params`` supplies the target ratio and the required return used by
     the mid-career estimator; the estimation error compares R_{T-lag}
-    against the realized terminal ratio.
+    against the realized terminal ratio, for a lag in 0..T.
     """
+    if not 0 <= estimation_lag <= inputs.T:
+        raise ParameterError(f"estimation_lag={estimation_lag} outside 0..{inputs.T}")
     outcome = strategy.run(inputs)
     rr = _terminal_rr(inputs, outcome.terminal_wealth)
     target = params.target_rr
     estimators = ReplacementEstimators(inputs, params)
-    t_est = max(inputs.T - estimation_lag, 0)
+    t_est = inputs.T - estimation_lag
     expected = estimators.expected_rr(outcome.wealth[:, t_est], t_est)
     diff = expected - rr
     return EvaluationReport(

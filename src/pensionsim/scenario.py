@@ -175,19 +175,19 @@ class ScenarioSet:
     def n_pillars(self) -> int:
         return self.curves.shape[2]
 
-    def rates(self, year: int, maturities, paths=None) -> np.ndarray:
+    def rates(self, year: int, maturities) -> np.ndarray:
         """Spot rates at ``year`` for (possibly fractional) maturities.
 
         Linear interpolation between the integer pillars, flat extrapolation
         beyond the last pillar (and below the first).  Returns an array of
-        shape ``(n_selected_paths, len(maturities))``.
+        shape ``(n_paths, len(maturities))``.
         """
         q = np.atleast_1d(np.asarray(maturities, dtype=float))
         npil = self.n_pillars
         lo = np.clip(np.floor(q).astype(int), 1, npil)
         hi = np.minimum(lo + 1, npil)
         frac = np.clip(q - lo, 0.0, 1.0)
-        block = self.curves[:, year, :] if paths is None else self.curves[paths, year, :]
+        block = self.curves[:, year, :]
         return block[:, lo - 1] * (1.0 - frac) + block[:, hi - 1] * frac
 
 

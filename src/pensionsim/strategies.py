@@ -11,8 +11,9 @@ The cumulative strategy tracks one aggregate target; the individual
 strategy tracks one target per contribution tranche, switching a tranche
 into the matching portfolio permanently once its target has been reached.
 
-Wealth grows by one rule, alpha (1 + x) + (1 - alpha) (1 + m) plus the
-year's contribution, in one of two shapes.  ``_accumulate`` keeps one pot
+Wealth grows by one rule, ``_grown``: alpha (1 + x) + (1 - alpha) (1 + m)
+per unit, the rule :mod:`pensionsim.dp` grows its ratios by too.  With the
+year's contribution added, it has two shapes.  ``_accumulate`` keeps one pot
 per path (static mixes, glide paths, the cumulative rule); ``_run_tranches``
 keeps one pot per contribution tranche, each at one of a few allocation
 values (the individual rule and the DP combination strategy).  Each runner
@@ -261,6 +262,7 @@ class StrategyOutcome:
 
 
 def _grown(wealth, alpha, x_t, m_t):
+    """``wealth`` after one year at equity fraction ``alpha``: the one growth rule."""
     return wealth * (alpha * (1.0 + x_t) + (1.0 - alpha) * (1.0 + m_t))
 
 

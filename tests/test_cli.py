@@ -63,7 +63,7 @@ def test_defaults_without_config_file():
     assert cfg["annuity.N"] == 20
     assert cfg["strategy.target_rr"] == 0.70
     assert cfg["dp.grid"] == "0.0,0.2,0.4,0.6,0.8,1.0"
-    assert not cfg.is_set("n_paths")
+    assert "n_paths" not in cfg.explicit
 
 
 def test_explicit_keys_tracked_and_comments_ignored(tmp_path):
@@ -72,8 +72,7 @@ def test_explicit_keys_tracked_and_comments_ignored(tmp_path):
     )
     assert cfg["n_paths"] == 50
     assert cfg["seed"] == 9
-    assert cfg.is_set("n_paths") and cfg.is_set("seed")
-    assert not cfg.is_set("horizon")
+    assert cfg.explicit == {"n_paths", "seed"}
 
 
 def test_unknown_key_reports_file_and_line(tmp_path):
@@ -102,8 +101,10 @@ def test_range_validation(tmp_path):
         cli.parse_config(write_config(tmp_path, "n_paths = -1\n"))
     with pytest.raises(ConfigError, match="horizon must be >= 2"):
         cli.parse_config(write_config(tmp_path, "horizon = 1\n"))
-    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -4"):
         cli.parse_config(write_config(tmp_path, "seed = -4\n"))
+    with pytest.raises(ConfigError, match="annuity.N must be >= 1, got 0"):
+        cli.parse_config(write_config(tmp_path, "annuity.N = 0\n"))
     with pytest.raises(ConfigError, match="strategy.kind must be one of"):
         cli.parse_config(write_config(tmp_path, "strategy.kind = martingale\n"))
     with pytest.raises(ConfigError, match="dp.mode must be"):
@@ -120,6 +121,8 @@ def test_range_validation(tmp_path):
         "frontier.mix_step = 0.15\n",
         "frontier.r_step = 0.03\n",
         "frontier.r_min = 0.01\nfrontier.r_max = 0.02\nfrontier.r_step = 0.004\n",
+        "frontier.mix_step = 1e12\n",
+        "frontier.r_step = 1e300\n",
     ],
 )
 def test_grid_step_must_divide_its_span(tmp_path, capsys, text):
@@ -166,10 +169,58 @@ def test_invalid_model_params_rejected_at_parse_time(tmp_path):
     # nested dataclass validation surfaces as a config error
     with pytest.raises(ConfigError, match="volatilities"):
         cli.parse_config(write_config(tmp_path, "model.std_x = -0.2\n"))
-    with pytest.raises(ConfigError, match="grid"):
-        cli.parse_config(write_config(tmp_path, "dp.grid = 0.0,1.5\n"))
+    for grid in ("0.0,1.5", "0.0,nan", "0.0,inf", "nan"):
+        with pytest.raises(ConfigError, match="grid"):
+            cli.parse_config(write_config(tmp_path, f"dp.grid = {grid}\n"))
     with pytest.raises(ConfigError, match="comma-separated"):
         cli.parse_config(write_config(tmp_path, "dp.grid = a,b\n"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "frontier.r_step = nan\n",
+        "frontier.r_min = nan\n",
+        "frontier.mix_step = inf\n",
+        "frontier.r_max = -inf\n",
+        "strategy.r = NaN\n",
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, text):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="expects a finite number"):
+        cli.parse_config(path)
+    out = tmp_path / "o"
+    assert cli.main(["frontier", "--config", path, "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-5"], ["--threads", "-3"]])
+def test_negative_seed_or_threads_override_exits_1(tmp_path, capsys, flag):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, SMALL)
+    assert cli.main(["simulate", "--config", path, "--out", str(out)] + flag) == 1
+    assert flag[0][2:] + " must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_checks_seed_and_threads_overrides(tmp_path):
+    cfg = cli.parse_config(write_config(tmp_path, SMALL))
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -5"):
+        cli.run(cfg, "simulate", str(tmp_path / "o"), seed=-5)
+    with pytest.raises(ConfigError, match="threads must be >= 0"):
+        cli.run(cfg, "simulate", str(tmp_path / "o"), threads=-3)
+    with pytest.raises(ConfigError, match="threads must be >= 0"):
+        cli.parse_config(write_config(tmp_path, "threads = -3\n"))
+    assert not (tmp_path / "o").exists()
+
+
+def test_estimation_lag_must_lie_within_the_horizon(tmp_path):
+    for lag in (-1, 11):
+        with pytest.raises(ConfigError, match="estimation_lag must lie in 0..annuity.T"):
+            cli.parse_config(write_config(tmp_path, SMALL + f"evaluation.estimation_lag = {lag}\n"))
+    cli.parse_config(write_config(tmp_path, SMALL + "evaluation.estimation_lag = 10\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ def test_dp_config_validation():
         DpConfig(loess_d=0.0)
     with pytest.raises(ParameterError):
         DpConfig(curve_points=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="grid"):
+            DpConfig(grid=(0.0, bad))
 
 
 def test_utility_reflection_point_and_values():
@@ -229,6 +232,31 @@ def test_decisions_match_einsum_loess_reference(monkeypatch):
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+def test_step_factors_are_year_major_z_steps_of_one_unit(small_inputs):
+    # one growth rule: row t of the table is z_step from z = 1 at every grid
+    # allocation, bit for bit, laid out (year, allocation, path)
+    T, n = small_inputs.T, small_inputs.n_paths
+    cfg = DpConfig()
+    frame = TargetFrame.build(small_inputs, _params(T))
+    factors = dp._step_factors(small_inputs, frame, cfg)
+    assert factors.shape == (T + 1, len(cfg.grid), n) and factors.flags.c_contiguous
+    x, m = small_inputs.scenarios.x, small_inputs.market.m
+    for t in range(1, T + 1):
+        for k, a in enumerate(cfg.grid):
+            want = z_step(np.ones(n), np.full(n, a), x[:, t], m[:, t], frame.er[:, t])
+            assert np.array_equal(factors[t, k], want)
+
+
+def test_solver_keeps_the_factor_slice_it_is_given(small_inputs):
+    T = small_inputs.T
+    frame = TargetFrame.build(small_inputs, _params(T))
+    factors = dp._step_factors(small_inputs, frame, DpConfig())
+    tranche = factors[3 : T + 1]
+    solver = _SnakeSolver(frame.z0(2), tranche, DpConfig())
+    assert solver.factors is tranche
+    assert np.shares_memory(solver._flat_factors, tranche)
+
+
 def test_solve_policy_validation(small_inputs):
     frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
     with pytest.raises(ParameterError):
@@ -256,11 +284,13 @@ def _flat_policy(values):
     )
 
 
-def test_alpha_at_picks_argmax_and_breaks_ties_low():
-    assert _flat_policy([0.0, 1.0, 0.5]).alpha_at(4, 1.5) == 0.5
-    assert _flat_policy([2.0, 2.0, 2.0]).alpha_at(4, 1.5) == 0.0
+def test_choice_at_picks_argmax_and_breaks_ties_low():
+    policy = _flat_policy([0.0, 1.0, 0.5])
+    assert policy.grid[policy.choice_at(4, 1.5)] == 0.5
+    policy = _flat_policy([2.0, 2.0, 2.0])
+    assert policy.grid[policy.choice_at(4, 1.5)] == 0.0
     with pytest.raises(ParameterError):
-        _flat_policy([0.0, 1.0, 0.5]).alpha_at(7, 1.5)
+        _flat_policy([0.0, 1.0, 0.5]).choice_at(7, 1.5)
 
 
 def test_policy_lookup_extends_flat(small_inputs):
@@ -510,7 +540,7 @@ def test_combination_run_equals_dense_reference(small_inputs, mode):
             continue
         z = frame.z0(tau)
         for t in range(tau, T):
-            full[:, t, tau] = policy.alpha_at(t, z)
+            full[:, t, tau] = policy.grid[policy.choice_at(t, z)]
             z = z_step(z, full[:, t, tau], x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
     full[:, T, :] = 0.0
     reference = dense_tranche_run(small_inputs, lambda t, live: full[:, t, : t + 1])

@@ -59,7 +59,7 @@ def test_factor_matches_direct_sum(default_inputs):
     for path, t in ((0, 0), (3, 17), (11, spec.T)):
         h = spec.T - t
         mats = np.arange(h, h + spec.N, dtype=float)
-        rates = s.rates(t, np.maximum(mats, 1.0), paths=[path])[0]
+        rates = s.rates(t, np.maximum(mats, 1.0))[path]
         rates[mats == 0] = 0.0
         i_t = infl.rates[path, t]
         oracle = np.sum((1.0 + i_t) ** mats / (1.0 + rates) ** mats)

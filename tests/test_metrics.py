@@ -270,6 +270,32 @@ def test_evaluate_strategy_on_goal_hitting_stub(small_inputs):
     assert rep.goal_reached == 1.0
 
 
+def test_evaluate_strategy_rejects_a_lag_outside_the_horizon(small_inputs):
+    T = small_inputs.T
+    for lag in (-1, T + 1, 100):
+        with pytest.raises(ParameterError, match="estimation_lag"):
+            evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), _params(T), lag)
+    # a lag of T scores the estimator at t = 0
+    outcome = StaticMixStrategy(mix=0.3).run(small_inputs)
+    rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), _params(T), T)
+    est = ReplacementEstimators(small_inputs, _params(T))
+    rr = replacement_ratio(
+        outcome.terminal_wealth,
+        small_inputs.market.M[:, T],
+        small_inputs.salaries,
+        small_inputs.scenarios.pi[:, : T + 1],
+    )
+    diff = est.expected_rr(outcome.wealth[:, 0], 0) - rr
+    np.testing.assert_allclose(rep.est_err_mean, np.abs(diff).mean(), rtol=1e-13)
+
+
+def test_expected_market_factor_rejects_years_outside_the_horizon(small_inputs):
+    est = ReplacementEstimators(small_inputs, _params(small_inputs.T))
+    for t in (-1, small_inputs.T + 1):
+        with pytest.raises(ParameterError):
+            est.expected_market_factor(t)
+
+
 def test_evaluate_report_csv_row_parses(small_inputs):
     rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.0), _params(small_inputs.T))
     fields = rep.csv_row().split(",")

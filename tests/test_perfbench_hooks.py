@@ -63,7 +63,10 @@ def test_setup_samples_build_inputs_with_positional_threads(tmp_path, monkeypatc
     import workloads
 
     config = tmp_path / "tiny.cfg"
-    config.write_text("n_paths = 40\nhorizon = 4\nannuity.T = 4\n", encoding="utf-8")
+    config.write_text(
+        "n_paths = 40\nhorizon = 4\nannuity.T = 4\nevaluation.estimation_lag = 4\n",
+        encoding="utf-8",
+    )
     assert traced.setup_main(str(config), 3, 2) == 0
     cfg = cli.parse_config(str(config))
     assert workloads.same_sets(cli._build_scenarios(cfg, 3, 2), cli._build_scenarios(cfg, 3, 1))
