@@ -12,7 +12,8 @@ defaults, so a field added there becomes a key here.  All runs are
 deterministic: the same config and seed produce byte-identical files.
 ``--threads`` (config key ``threads``, 0 = every core this process may run
 on) sets the worker processes for the per-contribution tranche solves of the
-``combination`` strategy; it never changes results.  The grid steps
+``combination`` strategy and for the rows of ``frontier``; it never changes
+results.  The grid steps
 ``report.static_grid_step``, ``frontier.mix_step`` and ``frontier.r_step``
 must divide their spans.
 """
@@ -422,6 +423,7 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
                 target_rr=v["strategy.target_rr"],
                 delta=v["strategy.delta"],
                 N=v["annuity.N"],
+                threads=threads,
             )
             text = "family,param,shortfall,cvar10\n" + "".join(r.csv_row() + "\n" for r in rows)
             _write_text(outputs.path("frontier.csv"), text)
@@ -465,8 +467,8 @@ def main(argv=None) -> int:
             "--threads",
             type=int,
             default=None,
-            help="worker processes for the combination tranche solves (0 = all usable "
-            "cores); results are identical for any count",
+            help="worker processes for the combination tranche solves and the frontier "
+            "rows (0 = all usable cores); results are identical for any count",
         )
         p.add_argument(
             "--print-defaults",

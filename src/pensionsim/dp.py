@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import SimulationInputs
+from .engine import SimulationInputs, _fan_out
 from .errors import DomainError, ParameterError
 from .lsmc import _loess_apply, _loess_geometry
 from .strategies import StrategyOutcome, TargetFrame, TargetParams, _grown, _run_tranches
@@ -425,13 +425,12 @@ class _SnakeSolver:
             self.trace.append(float(utility_check(self.z[self.nd], self.cfg).mean()))
 
 
-def _solve_decisions(z0: np.ndarray, factors: np.ndarray, cfg: DpConfig) -> np.ndarray:
-    """In-sample grid indices of one tranche, shape (decision times, paths).
-
-    A module-level function, so a worker process can run it and send back
-    the small index array rather than a :class:`PolicyModel` with its curves.
-    """
-    solver = _SnakeSolver(z0, factors, cfg)
+def _solve_decisions(shared: tuple, tau: int) -> np.ndarray:
+    """In-sample grid indices, (decision times, paths), of the tranche born at
+    tau: a worker sends back this small array, not a :class:`PolicyModel`.
+    ``shared`` is ``(frame, factors, cfg)``."""
+    frame, factors, cfg = shared
+    solver = _SnakeSolver(frame.z0(tau), factors[tau + 1 :], cfg)
     solver.solve()
     return solver.decisions
 
@@ -497,11 +496,10 @@ class CombinationStrategy:
     indices year by year; a last index, 0.0, converts them all at T.
 
     ``threads`` is the number of worker processes for the independent
-    per-contribution tranche solves.  Above one, the tranches born at
-    tau >= 1 go to forked workers, largest first, while this process solves
-    tau = 0, the largest, through :func:`solve_policy`; at one, every solve
-    runs here.  Each solve depends only on its own tranche, so results never
-    depend on the worker count.
+    per-contribution tranche solves: above one, the tranches born at tau >= 1
+    go to the forked workers of :func:`~pensionsim.engine._fan_out` while
+    this process solves tau = 0, the largest, through :func:`solve_policy`.
+    Results never depend on the worker count.
     """
 
     params: TargetParams
@@ -516,40 +514,6 @@ class CombinationStrategy:
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
 
-    def _tranche_decisions(self, inputs: SimulationInputs, frame: TargetFrame, factors) -> list:
-        """In-sample grid indices of every tranche, indexed by birth year."""
-        T = inputs.T
-
-        def tranche(tau: int) -> tuple:
-            return frame.z0(tau), factors[tau + 1 : T + 1], self.cfg
-
-        if self.threads == 1 or T < 2:
-            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
-            return [policy.decisions] + [_solve_decisions(*tranche(tau)) for tau in range(1, T)]
-        # imported here: the process machinery costs a package import ~11 ms
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, whatever the platform default: workers inherit numpy and the
-        # package instead of importing them again.  The one other thread is
-        # the pool OpenBLAS starts when numpy is imported; its pthread_atfork
-        # handler shuts that pool down before each fork, so no BLAS thread
-        # or lock is copied mid-hold, and a process whose BLAS call wants
-        # threads again starts a fresh pool
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.threads, T - 1), mp_context=multiprocessing.get_context("fork")
-        )
-        try:
-            # work falls with tau: the largest tranches go first, and this
-            # process solves tau = 0, the largest of all, meanwhile
-            futures = [pool.submit(_solve_decisions, *tranche(tau)) for tau in range(1, T)]
-            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
-            return [policy.decisions] + [f.result() for f in futures]
-        finally:
-            # on a failure the queued tranches are dropped; either way every
-            # worker has exited and been reaped before this returns
-            pool.shutdown(wait=True, cancel_futures=True)
-
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
         T = inputs.T
@@ -559,7 +523,11 @@ class CombinationStrategy:
         # kernel's state, and hand the kernel (path, tau) indices
         if self.mode == "per-contribution":
             # decisions[tau][t - tau]: grid indices of the tranche born at tau
-            decisions = self._tranche_decisions(inputs, frame, factors)
+            decisions = _fan_out(
+                _solve_decisions, (frame, factors, self.cfg), [(tau,) for tau in range(1, T)],
+                self.threads, cost=lambda tau: -tau,
+                here=lambda: solve_policy(inputs, frame, self.cfg, factors=factors).decisions,
+            )
 
             def choose(t):
                 return np.stack([decisions[tau][t - tau] for tau in range(t + 1)]).T

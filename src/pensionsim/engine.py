@@ -3,7 +3,8 @@
 ``SimulationInputs.prepare`` fits the expected-inflation estimator on the
 scenario set, prices the annuity factor panel and lays out salaries,
 franchises and contributions along every path, so strategy runners and
-metrics can share one consistent snapshot.
+metrics can share one consistent snapshot.  ``_fan_out``, the package's one
+process pool, runs the DP's tranche solves and the frontier's rows.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ class SimulationInputs:
         schedule = schedule if schedule is not None else default_schedule()
         if annuity is None:
             annuity = AnnuitySpec(T=schedule.n_years - 1, N=20)
-        if annuity.T > scenarios.horizon:
-            raise ParameterError(
-                f"accumulation horizon T={annuity.T} exceeds scenario horizon "
-                f"{scenarios.horizon}"
-            )
         if annuity.T + 1 > schedule.n_years:
             raise ParameterError(
                 f"career schedule covers {schedule.n_years} years but the "
@@ -88,3 +84,45 @@ class SimulationInputs:
             franchises=franchise_path(w, schedule),
             contributions=contribution_path(w, schedule),
         )
+
+
+_shared = None  # a worker's copy of ``_fan_out``'s ``shared``, set as it starts
+
+
+def _adopt(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _call_shared(call, *job):
+    return call(_shared, *job)
+
+
+def _fan_out(call, shared, jobs: list, threads: int, cost, here=None) -> list:
+    """``[call(shared, *job) for job in jobs]``, on up to ``threads`` workers.
+
+    Above one thread the jobs go to forked workers in falling ``cost(*job)``,
+    list order on ties, while ``here()``, if given, runs in this process and
+    leads the results.  A failed job re-raises here, and every worker has
+    exited before this returns.  At one thread all runs here, in order.
+    """
+    if threads == 1 or not jobs:
+        return ([here()] if here else []) + [call(shared, *job) for job in jobs]
+    # imported here: the process machinery costs a package import ~11 ms
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # fork, whatever the platform default: workers inherit numpy, the package
+    # and ``shared``, which is never pickled.  The one other thread is the
+    # pool OpenBLAS starts with numpy; its pthread_atfork handler shuts it
+    # down before each fork, so no BLAS lock is copied mid-hold, and a later
+    # BLAS call that wants threads starts a fresh pool
+    pool = ProcessPoolExecutor(min(threads, len(jobs)), get_context("fork"), _adopt, (shared,))
+    try:
+        order = sorted(range(len(jobs)), key=lambda i: cost(*jobs[i]), reverse=True)
+        futures = {i: pool.submit(_call_shared, call, *jobs[i]) for i in order}
+        return ([here()] if here else []) + [futures[i].result() for i in range(len(jobs))]
+    finally:
+        # on a failure the queued jobs are dropped; either way every worker
+        # has exited and been reaped before this returns
+        pool.shutdown(wait=True, cancel_futures=True)

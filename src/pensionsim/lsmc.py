@@ -363,7 +363,7 @@ class InflationEstimator:
     @classmethod
     def fit(cls, scenarios, T: int, floor: float = 0.5) -> "InflationEstimator":
         if not 1 <= T <= scenarios.horizon:
-            raise DomainError(f"need 1 <= T <= horizon, got T={T}")
+            raise ParameterError(f"need 1 <= T <= horizon {scenarios.horizon}, got T={T}")
         growth = 1.0 + scenarios.pi[:, : T + 1]
         growth[:, 0] = 1.0
         cum = np.cumprod(growth, axis=1)

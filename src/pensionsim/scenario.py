@@ -18,7 +18,6 @@ so a smaller run is a prefix of a larger one under the same seed.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np

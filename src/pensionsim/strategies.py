@@ -11,8 +11,8 @@ The cumulative strategy tracks one aggregate target; the individual
 strategy tracks one target per contribution tranche, switching a tranche
 into the matching portfolio permanently once its target has been reached.
 
-Wealth grows by one rule, ``_grown``: alpha (1 + x) + (1 - alpha) (1 + m)
-per unit, the rule :mod:`pensionsim.dp` grows its ratios by too.  With the
+Wealth grows by one rule, ``_unit_growth``: alpha (1 + x) + (1 - alpha)
+(1 + m) per unit, which also grows :mod:`pensionsim.dp`'s ratios.  With the
 year's contribution added, it has two shapes.  ``_accumulate`` keeps one pot
 per path (static mixes, glide paths, the cumulative rule); ``_run_tranches``
 keeps one pot per contribution tranche, each at one of a few allocation
@@ -221,8 +221,8 @@ def cumulative_step(wealth, target, alpha_prev, x, m, t: int):
     alpha_prev = np.asarray(alpha_prev, dtype=float)
     if np.any((alpha_prev < 0.0) | (alpha_prev > 1.0)):
         raise ParameterError("previous allocation must lie in [0, 1]")
-    risky = alpha_prev * (1.0 + np.asarray(x, dtype=float))
-    total = risky + (1.0 - alpha_prev) * (1.0 + np.asarray(m, dtype=float))
+    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    risky, total = _unit_growth(alpha_prev, x, m)
     if np.any(total <= 0.0):
         raise DomainError("portfolio wiped out: drift denominator is not positive")
     return np.where(wealth >= target, 0.0, risky / total)
@@ -261,9 +261,15 @@ class StrategyOutcome:
         return panel.transpose(2, 0, 1)
 
 
+def _unit_growth(alpha, x_t, m_t):
+    """One unit after a year at equity fraction ``alpha``: (risky part, total)."""
+    risky = alpha * (1.0 + x_t)
+    return risky, risky + (1.0 - alpha) * (1.0 + m_t)
+
+
 def _grown(wealth, alpha, x_t, m_t):
-    """``wealth`` after one year at equity fraction ``alpha``: the one growth rule."""
-    return wealth * (alpha * (1.0 + x_t) + (1.0 - alpha) * (1.0 + m_t))
+    """``wealth`` after one year at equity fraction ``alpha``."""
+    return wealth * _unit_growth(alpha, x_t, m_t)[1]
 
 
 def _accumulate(inputs: SimulationInputs, decide):

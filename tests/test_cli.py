@@ -5,14 +5,15 @@ and written files can be checked exactly; one test exercises the installed
 ``python -m pensionsim`` entry point.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
-from pensionsim import DpConfig, ModelParams, cli
-from pensionsim.errors import ConfigError
+from pensionsim import DpConfig, IndividualTargetStrategy, ModelParams, cli
+from pensionsim.errors import ConfigError, DomainError
 
 # small, fast setup shared by most runs: 10-year horizon, few paths
 SMALL = """
@@ -422,6 +423,32 @@ def test_frontier_row_counts_match_grids(tmp_path):
     assert len(rows) == 5 + 3  # static 0,.25,.5,.75,1 and r 0,.01,.02
     assert sum(1 for r in rows if r[0] == "static") == 5
     assert sum(1 for r in rows if r[0] == "cumulative") == 3
+
+
+def test_frontier_deterministic_across_threads(tmp_path):
+    cfg = write_config(tmp_path, SMALL + "frontier.r_step = 0.01\n")
+    outs = [str(tmp_path / f"fr{threads}") for threads in (1, 2)]
+    for out, threads in zip(outs, ("1", "2")):
+        assert cli.main(["frontier", "--config", cfg, "--out", out, "--threads", threads]) == 0
+    base = read_bytes(os.path.join(outs[0], "frontier.csv"))
+    assert len(base.splitlines()) == 1 + 11 + 6 + 6
+    assert read_bytes(os.path.join(outs[1], "frontier.csv")) == base
+
+
+def test_frontier_worker_failure_exits_like_a_serial_run(tmp_path, monkeypatch, capsys):
+    # forked workers inherit the patch
+    def failing(self, inputs):
+        raise DomainError("injected failure")
+
+    monkeypatch.setattr(IndividualTargetStrategy, "run", failing)
+    cfg = write_config(tmp_path, SMALL + "frontier.r_step = 0.01\n")
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        argv = ["frontier", "--config", cfg, "--out", str(out), "--threads", threads]
+        assert cli.main(argv) == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        assert multiprocessing.active_children() == []
 
 
 def test_frontier_unknown_family_exits_1(tmp_path, capsys):

@@ -370,7 +370,7 @@ def test_expected_inflation_domain():
     s = simulate(flat_params(mean_pi=0.02), 2, 4, seed=1)
     with pytest.raises(DomainError):
         InflationEstimator.fit(s, 4).annual_rate(5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         InflationEstimator.fit(s, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         InflationEstimator.fit(s, 0)

@@ -11,8 +11,9 @@ from pensionsim import (
     post_retirement_factor,
     SimulationInputs,
 )
+from pensionsim.lsmc import InflationEstimator
 from pensionsim.market import AnnuitySpec
-from pensionsim.errors import DomainError, EngineError
+from pensionsim.errors import DomainError, EngineError, ParameterError
 
 
 def test_post_retirement_factor_values():
@@ -89,3 +90,18 @@ def test_annuity_spec_validation():
         AnnuitySpec(T=10, N=0)
     with pytest.raises(EngineError):
         AnnuitySpec(T=-1, N=20)
+
+
+@pytest.mark.parametrize("entry", ["prepare", "market_value_series", "inflation_fit"])
+def test_horizon_past_the_scenarios_raises_parameter_error(entry):
+    s = simulate(flat_params(), 20, 6, seed=3)
+    spec = AnnuitySpec(T=s.horizon + 1, N=20)
+    calls = {
+        "prepare": lambda: SimulationInputs.prepare(s, annuity=spec),
+        "market_value_series": lambda: market_value_series(
+            s, spec, InflationEstimator.fit(s, s.horizon)
+        ),
+        "inflation_fit": lambda: InflationEstimator.fit(s, spec.T),
+    }
+    with pytest.raises(ParameterError, match="horizon"):
+        calls[entry]()

@@ -1,10 +1,13 @@
 """Replacement ratios, tail risk measures, reports and the frontier sweep."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from pensionsim import (
+    IndividualTargetStrategy,
     ReplacementEstimators,
     SimulationInputs,
     StaticMixStrategy,
@@ -17,6 +20,8 @@ from pensionsim import (
     shortfall,
     var,
 )
+from pensionsim import metrics
+from pensionsim.engine import _fan_out
 from pensionsim.errors import DomainError, EstimatorError, ParameterError
 from pensionsim.metrics import REPORT_COLUMNS
 
@@ -325,10 +330,12 @@ def test_frontier_rows_are_sorted_and_consistent(small_inputs):
 
 
 def test_frontier_is_deterministic(small_inputs):
-    families = {"static": [0.0, 1.0], "cumulative": [0.02]}
-    a = frontier(small_inputs, families)
-    b = frontier(small_inputs, families)
+    # more workers than cores, so a lost or misplaced row would show as a
+    # mismatch
+    families = {"static": [0.0, 1.0], "cumulative": [0.02, 0.0], "individual": [0.03, 0.01]}
+    a, b, c = (frontier(small_inputs, families, threads=threads) for threads in (1, 1, 3))
     assert [r.csv_row() for r in a] == [r.csv_row() for r in b]
+    assert [r.csv_row() for r in a] == [r.csv_row() for r in c]
 
 
 def test_frontier_validation(small_inputs):
@@ -336,6 +343,41 @@ def test_frontier_validation(small_inputs):
         frontier(small_inputs, {"static": []})
     with pytest.raises(ParameterError):
         frontier(small_inputs, {"bogus": [0.5]})
+    with pytest.raises(ParameterError):
+        frontier(small_inputs, {"static": [0.5]}, threads=0)
+
+
+def test_frontier_builds_every_row_before_any_fork(small_inputs, monkeypatch):
+    monkeypatch.setattr(metrics, "_fan_out", lambda *args, **kwargs: pytest.fail("forked"))
+    with pytest.raises(ParameterError):
+        frontier(small_inputs, {"static": [0.5], "individual": [0.01, -2.0]}, threads=3)
+
+
+def _power(base, exponent):
+    return base**exponent
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_fan_out_returns_results_in_job_order(threads):
+    # submitted by falling cost, 2, 5 and 8 first, but read back in list order
+    jobs = [(i,) for i in range(9)]
+    out = _fan_out(_power, 3, jobs, threads, cost=lambda i: i % 3, here=lambda: "here")
+    assert out == ["here"] + [3**i for i in range(9)]
+    assert _fan_out(_power, 3, jobs, threads, cost=lambda i: 0) == out[1:]
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_frontier_row_raises_typed_and_leaves_no_worker(small_inputs, monkeypatch):
+    # forked workers inherit the patch
+    def failing(self, inputs):
+        raise DomainError(f"injected failure at r={self.params.r}")
+
+    monkeypatch.setattr(IndividualTargetStrategy, "run", failing)
+    families = {"static": [0.5], "cumulative": [0.02], "individual": [0.0, 0.02]}
+    for threads in (1, 3):
+        with pytest.raises(DomainError, match="injected failure"):
+            frontier(small_inputs, families, threads=threads)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.xfail(
