@@ -99,16 +99,14 @@ class CareerSchedule:
         )
 
 
-def default_schedule() -> CareerSchedule:
+def default_schedule(
+    base_salary: float = _BASE_SALARY, franchise: float = _FRANCHISE
+) -> CareerSchedule:
     """Built-in career from age 25 through 66 (42 contribution years)."""
     ages = tuple(range(_ENTRY_AGE, _FINAL_AGE + 1))
-    career = []
-    contrib = []
-    for age in ages:
-        band = max(b for b in _DEFAULT_BANDS if b[0] <= age)
-        career.append(band[1])
-        contrib.append(band[2])
-    return CareerSchedule(ages=ages, career_rate=tuple(career), contribution_rate=tuple(contrib))
+    bands = [max(b for b in _DEFAULT_BANDS if b[0] <= age) for age in ages]
+    career, contrib = (tuple(b[i] for b in bands) for i in (1, 2))
+    return CareerSchedule(ages, career, contrib, base_salary, franchise)
 
 
 def schedule_from_csv(

@@ -1,11 +1,12 @@
 """Command-line runner: config parsing, subcommands and file outputs.
 
-Subcommands: ``simulate`` (scenario CSV + moment report), ``evaluate``
-(single-strategy report), ``solve-dp`` (policy export + utility trace),
-``frontier`` (family/parameter sweep) and ``report`` (multi-strategy
-comparison).  Configuration is a flat ``key = value`` text file with ``#``
-comments; every key has a default (see ``--print-defaults``).  The
-``model.*`` and ``dp.*`` keys (``dp.mode`` aside) are the fields of
+Subcommands: ``simulate`` (scenario CSV + moment report), ``evaluate`` (the
+one-row ``report`` of the ``strategy.*`` keys), ``solve-dp`` (policy export +
+utility trace), ``frontier`` (family/parameter sweep; the frontier itself
+checks the family names) and ``report`` (multi-strategy comparison).
+Configuration is a flat ``key = value`` text file with ``#`` comments; every
+key has a default (see ``--print-defaults``).  The ``model.*`` and ``dp.*``
+keys (``dp.mode`` aside) are the fields of
 :class:`~pensionsim.scenario.ModelParams` and
 :class:`~pensionsim.dp.DpConfig`, derived from the dataclasses with their
 defaults, so a field added there becomes a key here.  All runs are
@@ -13,9 +14,8 @@ deterministic: the same config and seed produce byte-identical files.
 ``--threads`` (config key ``threads``, 0 = every core this process may run
 on) sets the worker processes for the per-contribution tranche solves of the
 ``combination`` strategy and for the rows of ``frontier``; it never changes
-results.  The grid steps
-``report.static_grid_step``, ``frontier.mix_step`` and ``frontier.r_step``
-must divide their spans.
+results.  The grid steps ``report.static_grid_step``, ``frontier.mix_step``
+and ``frontier.r_step`` must divide their spans.
 """
 
 from __future__ import annotations
@@ -220,6 +220,9 @@ def _validate(cfg: RunConfig) -> None:
         # a step longer than a non-empty span would leave one grid point
         if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0) or (span > 0 and round(steps) == 0):
             raise ConfigError(f"{key} = {v[key]!r} does not divide its span {span!r}")
+    # NaN fails the comparison
+    if not v["inflation.floor"] > 0.0:
+        raise ConfigError(f"inflation.floor must be positive, got {v['inflation.floor']}")
     if not 0 <= v["evaluation.estimation_lag"] <= v["annuity.T"]:
         raise ConfigError("evaluation.estimation_lag must lie in 0..annuity.T")
     try:
@@ -260,10 +263,11 @@ def _build_scenarios(cfg: RunConfig, seed: int, threads: int):
 def _build_inputs(cfg: RunConfig, seed: int, threads: int) -> SimulationInputs:
     v = cfg.values
     scenarios = _build_scenarios(cfg, seed, threads)
+    anchors = {"base_salary": v["career.base_salary"], "franchise": v["career.franchise"]}
     schedule = (
-        schedule_from_csv(v["career.file"], v["career.base_salary"], v["career.franchise"])
+        schedule_from_csv(v["career.file"], **anchors)
         if v["career.file"]
-        else default_schedule()
+        else default_schedule(**anchors)
     )
     annuity = AnnuitySpec(T=v["annuity.T"], N=v["annuity.N"])
     return SimulationInputs.prepare(
@@ -383,18 +387,6 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             scenarios = _build_scenarios(cfg, seed, threads)
             export_csv(scenarios, outputs.path("scenarios.csv"))
             summarize(scenarios).write_csv(outputs.path("moments.csv"))
-        elif subcommand == "evaluate":
-            inputs = _build_inputs(cfg, seed, threads)
-            kind = v["strategy.kind"]
-            value = {"static": v["strategy.mix"], "glide": v["strategy.glide_end"]}.get(kind)
-            strategy, est_params = _strategy(
-                cfg, kind, value, v["strategy.r"], kind, threads, inputs.schedule.ages
-            )
-            report = evaluate_strategy(
-                inputs, strategy, est_params, estimation_lag=v["evaluation.estimation_lag"]
-            )
-            text = ",".join(REPORT_COLUMNS) + "\n" + report.csv_row() + "\n"
-            _write_text(outputs.path("report.csv"), text)
         elif subcommand == "solve-dp":
             inputs = _build_inputs(cfg, seed, threads)
             params = _target_params(cfg, v["strategy.r"])
@@ -407,16 +399,11 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             _write_text(outputs.path("dp_trace.csv"), trace)
         elif subcommand == "frontier":
             inputs = _build_inputs(cfg, seed, threads)
-            families = {}
             names = [tok.strip() for tok in v["frontier.families"].split(",") if tok.strip()]
-            for name in names:
-                if name == "static":
-                    families[name] = _grid(0.0, 1.0, v["frontier.mix_step"]).round(12)
-                elif name in ("cumulative", "individual"):
-                    r_grid = _grid(v["frontier.r_min"], v["frontier.r_max"], v["frontier.r_step"])
-                    families[name] = r_grid.round(12)
-                else:
-                    raise ConfigError(f"unknown frontier family {name!r}")
+            # mixes for static, required returns for any other name (``frontier`` checks it)
+            mixes = _grid(0.0, 1.0, v["frontier.mix_step"]).round(12)
+            returns = _grid(v["frontier.r_min"], v["frontier.r_max"], v["frontier.r_step"]).round(12)
+            families = {name: mixes if name == "static" else returns for name in names}
             rows = frontier(
                 inputs,
                 families,
@@ -427,11 +414,16 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             )
             text = "family,param,shortfall,cvar10\n" + "".join(r.csv_row() + "\n" for r in rows)
             _write_text(outputs.path("frontier.csv"), text)
-        else:  # report
-            tokens = [tok.strip() for tok in v["report.strategies"].split(",") if tok.strip()]
-            if not tokens:
-                raise ConfigError("report.strategies must list at least one strategy")
-            specs = [_report_spec(token, cfg) for token in tokens]
+        else:  # evaluate is the one-row report of the strategy.* keys
+            if subcommand == "evaluate":
+                kind = v["strategy.kind"]
+                value = v["strategy.mix"] if kind == "static" else v["strategy.glide_end"]
+                specs = [(kind, value, v["strategy.r"], kind)]
+            else:
+                tokens = [tok.strip() for tok in v["report.strategies"].split(",") if tok.strip()]
+                if not tokens:
+                    raise ConfigError("report.strategies must list at least one strategy")
+                specs = [_report_spec(token, cfg) for token in tokens]
             inputs = _build_inputs(cfg, seed, threads)
             lines = [",".join(REPORT_COLUMNS)]
             for kind, value, r, label in specs:
@@ -492,7 +484,7 @@ def main(argv=None) -> int:
     except (DomainError, EstimatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

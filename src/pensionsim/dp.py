@@ -294,13 +294,11 @@ class PolicyModel:
 
     def decision_table(self) -> list:
         """(t, z, alpha) rows sampled on the stored z-node grids."""
-        rows = []
-        for i, t in enumerate(self.times):
-            alpha = self.grid[np.argmax(self.curves[i], axis=0)]
-            rows.extend(
-                (int(t), float(z), float(a)) for z, a in zip(self.z_nodes[i], alpha)
-            )
-        return rows
+        return [
+            (int(t), float(z), float(a))
+            for t, nodes in zip(self.times, self.z_nodes)
+            for z, a in zip(nodes, self.grid[self.choice_at(t, nodes)])
+        ]
 
     @property
     def terminal_utility(self) -> np.ndarray:
@@ -427,12 +425,10 @@ class _SnakeSolver:
 
 def _solve_decisions(shared: tuple, tau: int) -> np.ndarray:
     """In-sample grid indices, (decision times, paths), of the tranche born at
-    tau: a worker sends back this small array, not a :class:`PolicyModel`.
-    ``shared`` is ``(frame, factors, cfg)``."""
-    frame, factors, cfg = shared
-    solver = _SnakeSolver(frame.z0(tau), factors[tau + 1 :], cfg)
-    solver.solve()
-    return solver.decisions
+    tau, by :func:`solve_policy` (looked up at each call): a worker sends back
+    this small array.  ``shared`` is ``(inputs, frame, cfg, factors)``."""
+    inputs, frame, cfg, factors = shared
+    return solve_policy(inputs, frame, cfg, tau=tau, factors=factors).decisions
 
 
 def _step_factors(inputs: SimulationInputs, frame: TargetFrame, cfg: DpConfig) -> np.ndarray:
@@ -523,10 +519,10 @@ class CombinationStrategy:
         # kernel's state, and hand the kernel (path, tau) indices
         if self.mode == "per-contribution":
             # decisions[tau][t - tau]: grid indices of the tranche born at tau
+            shared = (inputs, frame, self.cfg, factors)
             decisions = _fan_out(
-                _solve_decisions, (frame, factors, self.cfg), [(tau,) for tau in range(1, T)],
-                self.threads, cost=lambda tau: -tau,
-                here=lambda: solve_policy(inputs, frame, self.cfg, factors=factors).decisions,
+                _solve_decisions, shared, [(tau,) for tau in range(1, T)],
+                self.threads, cost=lambda tau: -tau, here=lambda: _solve_decisions(shared, 0),
             )
 
             def choose(t):

@@ -306,20 +306,14 @@ class LoessModel:
         self._x = x
         self._y = y
 
-    # internal: evaluate the fitted local polynomial at each query point
-    def _evaluate(self, queries: np.ndarray) -> np.ndarray:
-        q = np.asarray(queries, dtype=float).ravel()
-        if q.size == 0:
-            return np.empty(0)
-        if not np.all(np.isfinite(q)):
-            raise DomainError("query points must be finite")
-        design = _loess_geometry(self._x, q, self.d, self.degree)
-        return _loess_apply(design, self._y[None, :])[0]
-
 
 def loess_batch(model: LoessModel, queries) -> np.ndarray:
     """Vectorized :func:`loess_eval` over an array of query points."""
-    return model._evaluate(np.asarray(queries, dtype=float))
+    q = np.asarray(queries, dtype=float).ravel()
+    if not np.all(np.isfinite(q)):
+        raise DomainError("query points must be finite")
+    design = _loess_geometry(model._x, q, model.d, model.degree)
+    return _loess_apply(design, model._y[None, :])[0]
 
 
 def loess_eval(model: LoessModel, x: float) -> float:
@@ -332,7 +326,7 @@ def loess_eval(model: LoessModel, x: float) -> float:
     degree down to a weighted mean, and a query whose neighbours all sit at
     the exact cutoff distance returns the nearest training value.
     """
-    return float(model._evaluate(np.array([x], dtype=float))[0])
+    return float(loess_batch(model, [x])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +358,9 @@ class InflationEstimator:
     def fit(cls, scenarios, T: int, floor: float = 0.5) -> "InflationEstimator":
         if not 1 <= T <= scenarios.horizon:
             raise ParameterError(f"need 1 <= T <= horizon {scenarios.horizon}, got T={T}")
+        # NaN fails the comparison
+        if not floor > 0.0:
+            raise ParameterError(f"inflation floor must be positive, got {floor}")
         growth = 1.0 + scenarios.pi[:, : T + 1]
         growth[:, 0] = 1.0
         cum = np.cumprod(growth, axis=1)

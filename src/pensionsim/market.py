@@ -84,7 +84,8 @@ def market_value_series(scenarios, spec: AnnuitySpec, infl) -> MarketValueSeries
     M = np.empty((n, spec.T + 1))
     for t in range(spec.T + 1):
         M[:, t] = _factor_at(scenarios, t, spec, infl.annual_rate(t))
-    if np.any(M <= 0):
+    # a NaN factor fails the comparison too
+    if not np.all(M > 0):
         raise DomainError("market value factor must stay positive")
     m = np.empty_like(M)
     m[:, 0] = np.nan

@@ -133,7 +133,6 @@ class ReplacementEstimators:
         self.inputs = inputs
         self.params = params
         self.frame = TargetFrame.build(inputs, params)
-        self._contrib_cache: dict = {}
 
     # -- building blocks ---------------------------------------------------
 
@@ -150,9 +149,7 @@ class ReplacementEstimators:
         return pred
 
     def _projection(self, t: int):
-        """Future contributions and wage-index factors seen from year t."""
-        if t in self._contrib_cache:
-            return self._contrib_cache[t]
+        """Future salaries and contributions seen from year t."""
         inputs, T = self.inputs, self.inputs.T
         I_t = inputs.inflation.annual_rate(t)
         spread = inputs.scenarios.wage_spread
@@ -167,8 +164,7 @@ class ReplacementEstimators:
         f_hat = inputs.franchises[:, t][:, None] * wage_proj
         rates = np.asarray(inputs.schedule.contribution_rate)[t:]
         c_hat = rates[None, :] * np.maximum(s_hat - f_hat, 0.0)
-        self._contrib_cache[t] = (s_hat, c_hat)
-        return self._contrib_cache[t]
+        return s_hat, c_hat
 
     def wage_denominator(self, t: int) -> np.ndarray:
         """Expected indexed wage sum sum_u s_u prod_{tau>u}(1+pi) seen from t."""
@@ -192,11 +188,10 @@ class ReplacementEstimators:
 
         The current expected inflation I_t stands in for every later year,
         as in ``TargetFrame.growth_exp``; year T's contribution is not grown.
+        ``TargetFrame.build`` in ``__init__`` has checked 1 + r + I_t > 0.
         """
         T = self.inputs.T
         base = 1.0 + self.params.r + self.inputs.inflation.annual_rate(t)
-        if np.any(base <= 0.0):
-            raise EstimatorError("projected growth 1 + r + I_t must stay positive")
         _, c_hat = self._projection(t)
         total = start
         for k in range(t + 1, last + 1):
@@ -339,7 +334,7 @@ def frontier(
     specs = []
     for family in sorted(families):
         if family not in _FRONTIER_FAMILIES:
-            raise ParameterError(f"unknown strategy family {family!r}")
+            raise ParameterError(f"unknown frontier family {family!r}")
         grid = np.sort(np.asarray(families[family], dtype=float))
         if grid.size == 0:
             raise ParameterError(f"empty parameter grid for family {family!r}")

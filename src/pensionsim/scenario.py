@@ -175,19 +175,19 @@ class ScenarioSet:
         return self.curves.shape[2]
 
     def rates(self, year: int, maturities) -> np.ndarray:
-        """Spot rates at ``year`` for (possibly fractional) maturities.
-
-        Linear interpolation between the integer pillars, flat extrapolation
-        beyond the last pillar (and below the first).  Returns an array of
-        shape ``(n_paths, len(maturities))``.
-        """
+        """Spot rates, shape ``(n_paths, len(maturities))``, at a ``year`` in
+        0..horizon for whole-year maturities >= 1, flat past the last pillar;
+        any other year or maturity raises ParameterError."""
         q = np.atleast_1d(np.asarray(maturities, dtype=float))
-        npil = self.n_pillars
-        lo = np.clip(np.floor(q).astype(int), 1, npil)
-        hi = np.minimum(lo + 1, npil)
-        frac = np.clip(q - lo, 0.0, 1.0)
-        block = self.curves[:, year, :]
-        return block[:, lo - 1] * (1.0 - frac) + block[:, hi - 1] * frac
+        # a NaN maturity fails the comparison
+        if not (0 <= year <= self.horizon and np.all((q >= 1.0) & (q == np.floor(q)))):
+            raise ParameterError(
+                f"need a year in 0..{self.horizon} and whole maturities >= 1, got {year}, {q}"
+            )
+        pillars = np.minimum(q, self.n_pillars).astype(np.intp) - 1
+        # a fancy index lays the result out maturity-major; a caller's sum
+        # over maturities rounds in that order
+        return self.curves[:, year][:, pillars]
 
 
 def simulate(

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pensionsim import DpConfig, IndividualTargetStrategy, ModelParams, cli
@@ -112,6 +113,15 @@ def test_range_validation(tmp_path):
         cli.parse_config(write_config(tmp_path, "dp.mode = global\n"))
     with pytest.raises(ConfigError, match="strategy.glide_end must lie in"):
         cli.parse_config(write_config(tmp_path, "strategy.glide_end = 1.5\n"))
+
+
+@pytest.mark.parametrize("floor", ["0", "-10"])
+def test_inflation_floor_must_be_positive(tmp_path, capsys, floor):
+    path = write_config(tmp_path, f"inflation.floor = {floor}\n")
+    with pytest.raises(ConfigError, match="inflation.floor must be positive"):
+        cli.parse_config(path)
+    assert cli.main(["evaluate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "inflation.floor must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -301,6 +311,35 @@ def test_evaluate_writes_single_row_report(tmp_path):
     assert lines[1].startswith("static,")
 
 
+@pytest.mark.parametrize("kind", ["cumulative", "individual", "combination"])
+def test_evaluate_is_the_one_row_report(tmp_path, kind):
+    ev = write_config(
+        tmp_path, SMALL + f"strategy.kind = {kind}\nstrategy.r = 0.015\n", name="ev.cfg"
+    )
+    rep = write_config(
+        tmp_path, SMALL + f"report.strategies = {kind}\nreport.{kind}_r = 0.015\n", name="rep.cfg"
+    )
+    for sub, cfg in (("evaluate", ev), ("report", rep)):
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / sub), "--threads", "1"]) == 0
+    one, many = (read_bytes(tmp_path / sub / "report.csv") for sub in ("evaluate", "report"))
+    assert one == many
+    assert one.count(b"\n") == 2
+
+
+def test_career_anchors_apply_without_a_career_file(tmp_path):
+    anchors = "career.base_salary = 60000\ncareer.franchise = 1000\n"
+    inputs = cli._build_inputs(cli.parse_config(write_config(tmp_path, SMALL + anchors)), 11, 1)
+    assert (inputs.schedule.base_salary, inputs.schedule.franchise) == (60000.0, 1000.0)
+    np.testing.assert_array_equal(inputs.salaries[:, 0], 60000.0)
+    np.testing.assert_array_equal(inputs.franchises[:, 0], 1000.0)
+    reports = []
+    for name, text in (("default", ""), ("anchored", anchors)):
+        cfg = write_config(tmp_path, SMALL + "strategy.kind = static\n" + text, name=name + ".cfg")
+        assert cli.main(["evaluate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        reports.append(read_bytes(os.path.join(tmp_path, name, "report.csv")))
+    assert reports[0] != reports[1]
+
+
 def test_ingested_scenarios_reproduce_generated_report(tmp_path):
     """simulate -> evaluate-from-file matches the single-pass evaluate run."""
     gen_cfg = write_config(tmp_path, SMALL, name="gen.cfg")
@@ -329,6 +368,19 @@ def test_runtime_domain_error_exits_2_and_cleans_outputs(tmp_path, capsys):
     assert cli.main(["evaluate", "--config", cfg, "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+def test_os_error_exits_1_without_traceback(tmp_path, capsys):
+    # --out names a regular file: the output directory cannot be made
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n", encoding="utf-8")
+    cfg = write_config(tmp_path, SMALL)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(afile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert afile.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "run.cfg"]
 
 
 def test_writer_failing_part_way_leaves_no_partial_file(tmp_path, monkeypatch):

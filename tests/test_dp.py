@@ -458,6 +458,17 @@ def test_export_policy_csv_round_trips(small_inputs):
         assert np.isfinite(float(z))
 
 
+def test_decision_table_is_the_argmax_of_the_curves_at_the_nodes(small_inputs):
+    frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
+    policy = solve_policy(small_inputs, frame, tau=0)
+    expected = [
+        (int(t), float(z), float(a))
+        for i, t in enumerate(policy.times)
+        for z, a in zip(policy.z_nodes[i], policy.grid[np.argmax(policy.curves[i], axis=0)])
+    ]
+    assert policy.decision_table() == expected
+
+
 # ---------------------------------------------------------------------------
 # combination strategy
 # ---------------------------------------------------------------------------

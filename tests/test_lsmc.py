@@ -297,6 +297,13 @@ def test_loess_batch_matches_scalar_eval():
     )
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 10), np.ones(5)])
+def test_loess_batch_of_no_queries_is_empty(x, degree):
+    out = loess_batch(LoessModel(x, x**2, d=0.5, degree=degree), [])
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_loess_validation():
     x = np.linspace(0, 1, 5)
     with pytest.raises(EngineError):
@@ -360,6 +367,14 @@ def test_expected_inflation_floor():
     est = InflationEstimator.fit(s, 4, floor=0.5)
     # deterministic level 0.7^4 < 0.5 engages the floor before the root
     np.testing.assert_allclose(est.rates[:, 0], 0.5 ** (1.0 / 3.0) - 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("floor", [0.0, -10.0, float("nan")])
+def test_expected_inflation_floor_must_be_positive(floor):
+    # a floor <= 0 would let a negative level through the root as NaN
+    s = simulate(flat_params(mean_pi=-0.3), 2, 4, seed=2)
+    with pytest.raises(ParameterError, match="inflation floor must be positive"):
+        InflationEstimator.fit(s, 4, floor=floor)
 
 
 def test_estimator_rates_keep_growth_positive(default_inputs):

@@ -51,6 +51,16 @@ def test_flat_curve_two_payment_annuity():
     np.testing.assert_allclose(inp1.market.M[:, 4], 1.0, rtol=0, atol=0)
 
 
+def test_nan_market_factor_rejected():
+    # NaN expected inflation makes every factor NaN: the positivity check
+    # must not pass it
+    s = simulate(flat_params(), 3, 4, seed=1)
+    est = InflationEstimator.fit(s, 4)
+    est.rates[:] = np.nan
+    with pytest.raises(DomainError, match="market value factor must stay positive"):
+        market_value_series(s, AnnuitySpec(T=4, N=2), est)
+
+
 def test_factor_matches_direct_sum(default_inputs):
     # Independent recomputation: each payment j is indexed at the expected
     # inflation rate and discounted at the zero rate for its maturity.

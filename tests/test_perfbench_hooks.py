@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import pensionsim
 import pensionsim.cli as cli
 import pensionsim.dp as dp
@@ -89,3 +91,25 @@ def test_package_outcomes_pass_the_tranche_oracles(small_inputs, monkeypatch):
         assert oracles.check_combination(
             outcome.terminal_wealth, outcome.tranche_alpha, p["x"], p["m"], p["c"]
         ) == []
+
+
+def test_tranche_solves_run_through_a_wrapped_solve_policy(small_inputs, monkeypatch):
+    # perfbench's traced hook replaces ``dp.solve_policy`` with a wrapper of
+    # this signature; every tranche solve, in this process or a forked
+    # worker, goes through the module-level name
+    params = TargetParams(r=0.02, T=small_inputs.T)
+    cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
+    reference = CombinationStrategy(params, cfg=cfg, threads=1).run(small_inputs).tranche_alpha
+    original = dp.solve_policy
+    seen = []
+
+    def solve_policy(inputs, frame, cfg, tau=0, **kwargs):
+        seen.append(tau)
+        return original(inputs, frame, cfg, tau=tau, **kwargs)
+
+    monkeypatch.setattr(dp, "solve_policy", solve_policy)
+    for threads, parent_taus in ((1, list(range(small_inputs.T))), (2, [0])):
+        seen.clear()
+        outcome = CombinationStrategy(params, cfg=cfg, threads=threads).run(small_inputs)
+        assert np.array_equal(outcome.tranche_alpha, reference, equal_nan=True)
+        assert seen == parent_taus

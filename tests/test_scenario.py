@@ -139,13 +139,13 @@ def test_curves_equal_level_plus_slope_times_loadings():
 
 def test_rates_interpolation_and_extrapolation(default_set):
     s = default_set
-    mid = s.rates(2, [2.5])[:, 0]
-    np.testing.assert_allclose(
-        mid, 0.5 * (s.curves[:, 2, 1] + s.curves[:, 2, 2]), rtol=1e-14
-    )
-    # flat beyond the last pillar and below the first
+    # flat beyond the last pillar
     assert np.array_equal(s.rates(2, [60.0]), s.rates(2, [30.0]))
-    assert np.array_equal(s.rates(2, [0.25]), s.rates(2, [1.0]))
+    # only whole-year maturities >= 1 at a year of the panel are served
+    bad = ((2, [2.5]), (2, [0.25]), (2, [0.0]), (2, [np.nan]), (-1, [1.0]), (s.horizon + 1, [1.0]))
+    for year, maturities in bad:
+        with pytest.raises(ParameterError):
+            s.rates(year, maturities)
 
 
 def test_export_ingest_round_trip(tmp_path, default_set):
