@@ -20,10 +20,12 @@ values (the individual rule and the DP combination strategy).  Each runner
 only says how alpha is chosen.  Both kernels keep their state year-major,
 one contiguous row per year: the wealth and alpha panels, the tranche
 wealth laid out (tau, path), and the tranche index record as a
-(t, tau, path) triangle.  Callers see (path, year) and (path, tau) arrays
-through transposed views.  ``_pairwise_sum`` adds each path's tranches down a
-(tau, path) block in numpy's order for a row, pinned by
-``test_pairwise_sum_matches_numpy_row_sums``.
+(t, tau, path) triangle; callers see (path, year) and (path, tau) arrays
+through transposed views.  A tranche run keeps only its decisions and
+terminal wealth, and replays the record through the same yearly step
+(``_walk_tranches``) to build its panels on first read.  ``_pairwise_sum``
+adds each path's tranches down a (tau, path) block in numpy's order for a
+row, pinned by ``test_pairwise_sum_matches_numpy_row_sums``.
 """
 
 from __future__ import annotations
@@ -228,33 +230,37 @@ def cumulative_step(wealth, target, alpha_prev, x, m, t: int):
     return np.where(wealth >= target, 0.0, risky / total)
 
 
-@dataclass
 class StrategyOutcome:
     """Wealth and allocation panels produced by one strategy run.
 
     ``wealth[:, t]`` includes the year-t contribution (decision-time
     wealth); ``alpha[:, t]`` is the fraction chosen at t for the year
-    ahead.  Both are (n_paths, T + 1) views of year-major panels.
-    ``tranche_alpha[p, t, tau]`` (when tracked) is the allocation of the
-    tranche born at tau, NaN before its birth, built on first read from the
-    ``tranches = (values, record)`` of :func:`_run_tranches`.
+    ahead; both are (n_paths, T + 1) views of year-major panels.  A tranche
+    run keeps ``tranches = (inputs, values, record)`` and ``terminal_wealth``
+    and builds its panels and ``tranche_alpha[p, t, tau]`` (the allocation
+    of the tranche born at tau, NaN before) on first read.
     """
 
-    label: str
-    wealth: np.ndarray
-    alpha: np.ndarray
-    tranches: tuple | None = field(default=None, repr=False)
+    def __init__(self, label: str, wealth=None, alpha=None, tranches=None, terminal_wealth=None):
+        self.label, self.tranches = label, tranches
+        if tranches is None:
+            self.wealth, self.alpha = wealth, alpha
+            terminal_wealth = wealth[:, -1].copy()
+        self.terminal_wealth = terminal_wealth
 
-    @property
-    def terminal_wealth(self) -> np.ndarray:
-        return self.wealth[:, -1]
+    def __getattr__(self, name: str):
+        # reached only while a tranche run's panels are not built
+        if name not in ("wealth", "alpha"):
+            raise AttributeError(name)
+        self.wealth, self.alpha = _tranche_panels(*self.tranches)
+        return getattr(self, name)
 
     @cached_property
     def tranche_alpha(self) -> np.ndarray | None:
         if self.tranches is None:
             return None
-        values, record = self.tranches
-        n, years = self.wealth.shape
+        inputs, values, record = self.tranches
+        n, years = inputs.n_paths, inputs.T + 1
         # the record holds the tau <= t cells of a (t, tau, path) panel, in order
         panel = np.full((years, years, n), np.nan)
         panel[np.broadcast_to(np.tri(years, dtype=bool)[:, :, None], panel.shape)] = values[record]
@@ -326,51 +332,74 @@ def _pairwise_sum(rows, acc, out):
     return out
 
 
-def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> StrategyOutcome:
-    """One pot per contribution tranche, each held at one of ``values``.
+def _walk_tranches(inputs: SimulationInputs, values, record, decide=None, visit=None):
+    """Grow one pot per contribution tranche, each year at one of ``values``.
 
-    ``decide(t, live)`` returns the indices into ``values`` of the tranches
-    born up to t, where ``live`` holds their decision-time wealth, both
-    (n_paths, t + 1).  The state is year-major, so each year is a few passes
-    over contiguous rows: the tranche wealth is laid out (tau, path), and
-    ``record`` keeps the indices as a (t, tau, path) triangle, in the
-    narrowest unsigned type that holds every index.  One flat index per
-    year, value * n_paths + path, gathers the tranches' allocations and next
-    year's growth.  Each path's tranches add on the (tau, path) block, no
-    copy made, in numpy's order for a row (:func:`_pairwise_sum`, pinned by
-    ``test_pairwise_sum_matches_numpy_row_sums``).  The aggregate alpha is
-    the wealth-weighted tranche allocation, 0 where the path holds no wealth.
+    The tranche wealth is laid out (tau, path) and ``record`` holds the
+    indices into ``values`` as a (t, tau, path) triangle.  Each year,
+    ``decide(t, live)`` (if given) writes the indices of the tranches born up
+    to t from their decision-time wealth ``live``, both (n_paths, t + 1).
+    ``visit(t, live, flat)`` (if given) sees the year's flat index, value *
+    n_paths + path, before it gathers next year's growth.  Returns year T's ``live``.
     """
     T, n = inputs.T, inputs.n_paths
     x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
-    values = np.asarray(values, dtype=float)
-    table = np.repeat(values, n)  # the allocation per (value, path)
-    record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
-    start = 0
-    tranche_wealth = np.zeros((T + 1, n))
-    acc, weighted, paths = np.empty((8, n)), np.empty(n), np.arange(n)
-    wealth = np.empty((T + 1, n))
-    alpha = np.empty((T + 1, n))
+    tranche_wealth, paths, start = np.zeros((T + 1, n)), np.arange(n), 0
     for t in range(T + 1):
         tranche_wealth[t] = c[:, t]
         live = tranche_wealth[: t + 1]
-        idx = record[start : start + n * (t + 1)].reshape(t + 1, n)
-        idx.T[...] = decide(t, live.T)
+        idx = record[start : start + live.size].reshape(live.shape)
         start += idx.size
+        if decide is not None:
+            idx.T[...] = decide(t, live.T)
         flat = np.multiply(idx, n, dtype=np.intp)
         flat += paths
+        if visit is not None:
+            visit(t, live, flat)
+        if t < T:
+            # one unit's growth per (value, path); the take checks every index
+            live *= _grown(1.0, values[:, None], x[:, t + 1], m[:, t + 1]).take(flat)
+        elif idx.max() >= values.size:
+            raise IndexError(f"allocation index {idx.max()} outside 0..{values.size - 1}")
+        del flat  # next year's decide runs without it
+    return tranche_wealth
+
+
+def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> StrategyOutcome:
+    """One pot per contribution tranche, each held at one of ``values``.
+
+    ``decide`` is as in :func:`_walk_tranches`.  The outcome keeps the indices,
+    in the narrowest unsigned type that holds them, and the terminal wealth.
+    """
+    T, n = inputs.T, inputs.n_paths
+    values = np.asarray(values, dtype=float)
+    record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
+    live = _walk_tranches(inputs, values, record, decide=decide)
+    terminal = _pairwise_sum(live, np.empty((8, n)), np.empty(n))
+    return StrategyOutcome(label, tranches=(inputs, values, record), terminal_wealth=terminal)
+
+
+def _tranche_panels(inputs: SimulationInputs, values, record):
+    """``(wealth, alpha)`` panels of a tranche run, replayed from its record.
+
+    Year T's wealth is the run's ``terminal_wealth`` bit for bit; alpha is the
+    wealth-weighted tranche allocation, 0 where the path holds no wealth.
+    """
+    T, n = inputs.T, inputs.n_paths
+    table = np.repeat(values, n)  # the allocation per (value, path)
+    acc, weighted = np.empty((8, n)), np.empty(n)
+    wealth, alpha = np.empty((T + 1, n)), np.empty((T + 1, n))
+
+    def visit(t, live, flat):
         held = table.take(flat)
         held *= live
         _pairwise_sum(live, acc, wealth[t])
         _pairwise_sum(held, held[:8], weighted)
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[t] = np.where(wealth[t] > 0, weighted / wealth[t], 0.0)
-        if t < T:
-            # one unit's growth per (value, path); the take above checked every index
-            factor = _grown(1.0, values[:, None], x[:, t + 1], m[:, t + 1])
-            live *= np.take(factor, flat, out=held, mode="wrap")
-        del flat, held  # next year's decide runs without them
-    return StrategyOutcome(label=label, wealth=wealth.T, alpha=alpha.T, tranches=(values, record))
+
+    _walk_tranches(inputs, values, record, visit=visit)
+    return wealth.T, alpha.T
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pensionsim import (
     shortfall,
     var,
 )
-from pensionsim import metrics
+from pensionsim import metrics, strategies
 from pensionsim.engine import _fan_out
 from pensionsim.errors import DomainError, EstimatorError, ParameterError
 from pensionsim.metrics import REPORT_COLUMNS
@@ -351,6 +351,20 @@ def test_frontier_builds_every_row_before_any_fork(small_inputs, monkeypatch):
     monkeypatch.setattr(metrics, "_fan_out", lambda *args, **kwargs: pytest.fail("forked"))
     with pytest.raises(ParameterError):
         frontier(small_inputs, {"static": [0.5], "individual": [0.01, -2.0]}, threads=3)
+
+
+def test_frontier_rows_never_build_a_tranche_panel(small_inputs, monkeypatch):
+    # a row reads only terminal wealth, so no tranche run replays its record;
+    # the rows equal those read off the built panels
+    families = {"static": [0.0, 0.5], "cumulative": [0.02], "individual": [0.0, 0.03]}
+    with monkeypatch.context() as patch:
+        patch.setattr(strategies, "_tranche_panels", lambda *args: pytest.fail("replayed"))
+        rows = frontier(small_inputs, families, threads=1)
+    monkeypatch.setattr(
+        metrics, "_row_terminal", lambda inputs, s: s.run(inputs).wealth[:, -1].copy()
+    )
+    built = frontier(small_inputs, families, threads=1)
+    assert [r.csv_row() for r in rows] == [r.csv_row() for r in built]
 
 
 def _power(base, exponent):

@@ -32,6 +32,7 @@ from pensionsim import (
     simulate,
     static_step,
 )
+from pensionsim import strategies
 from pensionsim.errors import DomainError, EngineError, ParameterError, ScheduleError
 from pensionsim.market import AnnuitySpec
 from pensionsim.strategies import _pairwise_sum, _run_tranches
@@ -407,6 +408,44 @@ def test_individual_run_equals_dense_reference(small_inputs):
 
     outcome = IndividualTargetStrategy(params).run(small_inputs)
     assert_same_run(outcome, dense_tranche_run(small_inputs, decide))
+
+
+@pytest.mark.parametrize("kind", ["individual", "per-contribution", "shared"])
+def test_tranche_run_builds_its_panels_on_first_read(small_inputs, monkeypatch, kind):
+    # the run keeps decisions and terminal wealth; one replay builds both
+    # panels, and its year-T wealth is the run's terminal wealth bit for bit
+    replays = []
+
+    def counted(*args):
+        replays.append(args)
+        return replay(*args)
+
+    replay = strategies._tranche_panels
+    monkeypatch.setattr(strategies, "_tranche_panels", counted)
+    params = _params(small_inputs.T)
+    if kind == "individual":
+        strategy = IndividualTargetStrategy(params)
+    else:
+        strategy = CombinationStrategy(params, cfg=DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41),
+                                       mode=kind)
+    outcome = strategy.run(small_inputs)
+    terminal = outcome.terminal_wealth.copy()
+    assert outcome.tranche_alpha.shape == (small_inputs.n_paths,) + (small_inputs.T + 1,) * 2
+    assert replays == []
+    assert np.array_equal(outcome.wealth[:, -1].view(np.uint64), terminal.view(np.uint64))
+    assert outcome.alpha.shape == outcome.wealth.shape
+    assert len(replays) == 1
+
+
+@pytest.mark.parametrize("year", [0, 5, 12])  # small_inputs has T = 12
+def test_tranche_run_refuses_an_index_outside_the_values(small_inputs, year):
+    # every year's indices are checked, the last year's too, though they
+    # grow no tranche
+    def decide(t, live):
+        return np.full(live.shape, 2 if t == year else 1)
+
+    with pytest.raises(IndexError):
+        _run_tranches("bad", small_inputs, (0.0, 1.0), decide)
 
 
 @pytest.fixture(scope="module")
