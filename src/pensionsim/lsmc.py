@@ -3,8 +3,9 @@
 Three tools, all operating across simulated scenarios rather than through
 nested simulation:
 
-* :func:`regress_now` — least-squares line of realized future payoffs on
-  the current state (the classic simulation-regression step).
+* :func:`regress_now` — the closed-form least-squares line of realized
+  future payoffs on the current state (the classic simulation-regression
+  step); the inflation table and the market-factor estimate both fit it.
 * :class:`LoessModel` / :func:`loess_eval` — local weighted polynomial
   regression with tri-cube weights over the ``k = ceil(d*n)`` nearest
   neighbours of the query point.  The fit is split into a design step
@@ -54,17 +55,12 @@ def ceil_int(value: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _line_design(x: np.ndarray) -> np.ndarray:
-    """The [1, x] design of a least-squares line."""
-    return np.column_stack((np.ones_like(x), x))
-
-
 def regress_now(x, y) -> np.ndarray:
-    """Least-squares intercept and slope of y on x.
+    """Least-squares intercept and slope of y on x, in closed form.
 
-    The predictor is ``x -> coef[0] + coef[1] * x``.  A rank-deficient
-    design (x constant) never raises: the fit falls back to the intercept
-    alone and reports a zero slope.
+    The predictor is ``x -> coef[0] + coef[1] * x``.  The slope is the
+    centred cross product over the centred sum of squares; a constant x
+    never raises, and gives a zero slope and the mean of y.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -72,12 +68,12 @@ def regress_now(x, y) -> np.ndarray:
         raise ParameterError(f"sample size mismatch: {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise ParameterError(f"need at least 2 samples, got {len(x)}")
-    design = _line_design(x)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 2:
-        intercept = np.linalg.lstsq(design[:, :1], y, rcond=None)[0]
-        coef = np.array([intercept[0], 0.0])
-    return coef
+    xm, ym = x.mean(), y.mean()
+    slope = 0.0
+    if np.ptp(x) > 0.0:
+        xd = x - xm
+        slope = float(np.dot(xd, y - ym) / np.dot(xd, xd))
+    return np.array([ym - slope * xm, slope])
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +362,10 @@ class InflationEstimator:
         cum = np.cumprod(growth, axis=1)
         rates = np.empty((scenarios.n_paths, T + 1))
         for t in range(T):
-            x, y = cum[:, t], cum[:, T] / cum[:, t]
-            # closed-form line; regress_now's lstsq differs in the last bits
-            xm, ym = x.mean(), y.mean()
-            xi1 = 0.0
-            if np.ptp(x) > 0.0:
-                xd = x - xm
-                xi1 = float(np.dot(xd, y - ym) / np.dot(xd, xd))
+            x = cum[:, t]
+            intercept, slope = regress_now(x, cum[:, T] / x)
             # the floor keeps the level (and 1 + I) positive before the root
-            levels = np.maximum(xi1 * x + float(ym - xi1 * xm), floor)
+            levels = np.maximum(slope * x + intercept, floor)
             order = T - t - 1
             rates[:, t] = levels ** (1.0 / order) - 1.0 if order else levels - 1.0
         rates[:, T] = rates[:, T - 1]

@@ -54,12 +54,13 @@ def post_retirement_factor(delta: float, N: int) -> float:
 def _factor_at(scenarios, t: int, spec: AnnuitySpec, infl_rate: np.ndarray) -> np.ndarray:
     """M_t for all paths; ``infl_rate`` is the per-path I_t vector."""
     horizons = np.arange(spec.T - t, spec.T + spec.N - t, dtype=float)
-    positive = horizons > 0
-    growth = (1.0 + infl_rate)[:, None] ** horizons[positive]
-    rates = scenarios.rates(t, horizons[positive])
-    terms = (1.0 + rates) ** -horizons[positive] * growth
-    # the tau = t term (horizon 0) is an undiscounted unit payment
-    return terms.sum(axis=1) + np.count_nonzero(~positive)
+    h = horizons[horizons > 0][:, None]
+    rates = np.ascontiguousarray(scenarios.rates(t, h[:, 0]).T)
+    # (maturity, path) terms, added from 0.0 shortest maturity first whatever
+    # the layout of the rates; the tau = t term (horizon 0), an undiscounted
+    # unit payment, comes last
+    terms = (1.0 + rates) ** -h * (1.0 + infl_rate) ** h
+    return sum(terms, np.zeros(scenarios.n_paths)) + (horizons.size - h.size)
 
 
 @dataclass

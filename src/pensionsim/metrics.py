@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import SimulationInputs, _fan_out
 from .errors import DomainError, EstimatorError, ParameterError
-from .lsmc import _line_design, ceil_int, regress_now
+from .lsmc import ceil_int, regress_now
 from .strategies import (
     CumulativeTargetStrategy,
     IndividualTargetStrategy,
@@ -143,7 +143,8 @@ class ReplacementEstimators:
             raise ParameterError(f"t={t} outside 0..{T}")
         if t == T:
             return M[:, T]
-        pred = _line_design(M[:, t]) @ regress_now(M[:, t], M[:, T])
+        intercept, slope = regress_now(M[:, t], M[:, T])
+        pred = slope * M[:, t] + intercept
         if np.any(pred <= 0.0):
             raise EstimatorError("regressed terminal annuity factor is not positive")
         return pred
@@ -347,8 +348,12 @@ def frontier(
         return TargetParams(r=r, delta=delta, N=N, T=inputs.T, target_rr=target_rr)
 
     jobs = [(_FRONTIER_FAMILIES[family](param, target),) for family, param in specs]
-    rows = _fan_out(_row_terminal, inputs, jobs, threads, cost=lambda s: _ROW_COST[type(s)])
-    rr = _terminal_rr(inputs, np.array(rows))
+    # one block as the rows come back, so their list dies at once
+    wealth = np.array(
+        _fan_out(_row_terminal, inputs, jobs, threads, cost=lambda s: _ROW_COST[type(s)])
+    )
+    rr = _terminal_rr(inputs, wealth)
+    del wealth  # before the shortages and the tails are built
     shortage = _shortage(rr, target_rr)
     return [
         FrontierRow(family=family, param=param, shortfall=float(short), cvar10=cvar(row, 0.10))

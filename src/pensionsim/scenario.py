@@ -175,9 +175,9 @@ class ScenarioSet:
         return self.curves.shape[2]
 
     def rates(self, year: int, maturities) -> np.ndarray:
-        """Spot rates, shape ``(n_paths, len(maturities))``, at a ``year`` in
-        0..horizon for whole-year maturities >= 1, flat past the last pillar;
-        any other year or maturity raises ParameterError."""
+        """Spot rates taken into a new ``(n_paths, len(maturities))`` array, at
+        a ``year`` in 0..horizon for whole-year maturities >= 1, flat past the
+        last pillar; any other year or maturity raises ParameterError."""
         q = np.atleast_1d(np.asarray(maturities, dtype=float))
         # a NaN maturity fails the comparison
         if not (0 <= year <= self.horizon and np.all((q >= 1.0) & (q == np.floor(q)))):
@@ -185,9 +185,7 @@ class ScenarioSet:
                 f"need a year in 0..{self.horizon} and whole maturities >= 1, got {year}, {q}"
             )
         pillars = np.minimum(q, self.n_pillars).astype(np.intp) - 1
-        # a fancy index lays the result out maturity-major; a caller's sum
-        # over maturities rounds in that order
-        return self.curves[:, year][:, pillars]
+        return self.curves[:, year].take(pillars, axis=1)
 
 
 def simulate(

@@ -23,9 +23,9 @@ wealth laid out (tau, path), and the tranche index record as a
 (t, tau, path) triangle; callers see (path, year) and (path, tau) arrays
 through transposed views.  A tranche run keeps only its decisions and
 terminal wealth, and replays the record through the same yearly step
-(``_walk_tranches``) to build its panels on first read.  ``_pairwise_sum``
-adds each path's tranches down a (tau, path) block in numpy's order for a
-row, pinned by ``test_pairwise_sum_matches_numpy_row_sums``.
+(``_walk_tranches``) to build its panels on first read.  Every sum over a
+path's tranches (its wealth, its allocation weight) adds the rows of the
+(tau, path) block from 0.0 in birth order, tau = 0 first: Python's ``sum``.
 """
 
 from __future__ import annotations
@@ -298,40 +298,6 @@ def _accumulate(inputs: SimulationInputs, decide):
     return wealth.T, alpha.T
 
 
-def _pairwise_sum(rows, acc, out):
-    """Sum a (k, n_paths) block over its rows into ``out``, in numpy's order.
-
-    Each path adds as ``np.add.reduce`` adds one contiguous row of k terms:
-    from 0.0, in sequence below 8 terms; up to 128 in 8 running sums combined
-    pairwise, then the rest; above that, in two parts split at half the
-    length rounded down to a multiple of 8.  ``acc`` is (8, n_paths) scratch,
-    or ``rows[:8]`` to sum in place.
-    """
-    k = len(rows)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        _pairwise_sum(rows[:half], acc, out)
-        return np.add(out, _pairwise_sum(rows[half:], acc, np.empty_like(out)), out=out)
-    m = k - k % 8
-    if m == 0:
-        np.add(rows[0], 0.0, out=out)
-        m = 1
-    else:
-        first = rows
-        if m > 8:
-            np.add(rows[:8], rows[8:16], out=acc)
-            for i in range(16, m, 8):
-                acc += rows[i : i + 8]
-            first = acc
-        np.add(first[0:8:2], first[1:8:2], out=acc[0::2])
-        np.add(acc[0::4], acc[2::4], out=acc[0::4])
-        np.add(acc[0], acc[4], out=out)
-        out += 0.0  # the start from 0.0: an all -0.0 sum is +0.0
-    for row in rows[m:]:
-        out += row
-    return out
-
-
 def _walk_tranches(inputs: SimulationInputs, values, record, decide=None, visit=None):
     """Grow one pot per contribution tranche, each year at one of ``values``.
 
@@ -375,7 +341,7 @@ def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> Strat
     values = np.asarray(values, dtype=float)
     record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
     live = _walk_tranches(inputs, values, record, decide=decide)
-    terminal = _pairwise_sum(live, np.empty((8, n)), np.empty(n))
+    terminal = sum(live, np.zeros(n))
     return StrategyOutcome(label, tranches=(inputs, values, record), terminal_wealth=terminal)
 
 
@@ -387,14 +353,13 @@ def _tranche_panels(inputs: SimulationInputs, values, record):
     """
     T, n = inputs.T, inputs.n_paths
     table = np.repeat(values, n)  # the allocation per (value, path)
-    acc, weighted = np.empty((8, n)), np.empty(n)
     wealth, alpha = np.empty((T + 1, n)), np.empty((T + 1, n))
 
     def visit(t, live, flat):
         held = table.take(flat)
         held *= live
-        _pairwise_sum(live, acc, wealth[t])
-        _pairwise_sum(held, held[:8], weighted)
+        wealth[t] = sum(live, np.zeros(n))
+        weighted = sum(held, np.zeros(n))
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[t] = np.where(wealth[t] > 0, weighted / wealth[t], 0.0)
 

@@ -67,8 +67,12 @@ def dense_tranche_run(inputs, decide):
         tranche_wealth[:, t] = c[:, t]
         live = tranche_wealth[:, : t + 1]
         panel[:, t, : t + 1] = decide(t, live)
-        wealth[:, t] = live.sum(axis=1)
-        weighted = (live * panel[:, t, : t + 1]).sum(axis=1)
+        held = live * panel[:, t, : t + 1]
+        # each path's tranches add from 0.0 in birth order, tau = 0 first
+        wealth[:, t], weighted = 0.0, np.zeros(n)
+        for tau in range(t + 1):
+            wealth[:, t] += live[:, tau]
+            weighted += held[:, tau]
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[:, t] = np.where(wealth[:, t] > 0, weighted / wealth[:, t], 0.0)
     return wealth, alpha, panel

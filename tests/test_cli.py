@@ -5,6 +5,7 @@ and written files can be checked exactly; one test exercises the installed
 ``python -m pensionsim`` entry point.
 """
 
+import json
 import multiprocessing
 import os
 import subprocess
@@ -550,6 +551,77 @@ def test_report_deterministic_across_threads(tmp_path):
     base = read_bytes(os.path.join(outs[0], "report.csv"))
     assert read_bytes(os.path.join(outs[1], "report.csv")) == base
     assert read_bytes(os.path.join(outs[2], "report.csv")) == base
+
+
+# ---------------------------------------------------------------------------
+# portable identity: the same outputs under another arithmetic kernel
+
+# runs a report and saves the tranche decision panels of the two tranche
+# rules, with the numpy dispatch targets this process runs without
+_IDENTITY_CHILD = """
+import json, sys
+import numpy as np
+from pensionsim import cli, dp, strategies
+from numpy._core import _multiarray_umath as umath
+cfg, out = sys.argv[1:]
+panels = {}
+for cls in (strategies.IndividualTargetStrategy, dp.CombinationStrategy):
+    def run(self, inputs, _run=cls.run):
+        outcome = _run(self, inputs)
+        panels[outcome.label] = outcome.tranche_alpha
+        return outcome
+    cls.run = run
+code = cli.main(["report", "--config", cfg, "--out", out, "--threads", "1"])
+np.savez(out + "/panels.npz", **panels)
+print(json.dumps([k for k in umath.__cpu_dispatch__ if not umath.__cpu_features__[k]]))
+sys.exit(code)
+"""
+
+
+def test_outputs_agree_under_another_arithmetic_kernel(tmp_path):
+    # the identity standard: under another OpenBLAS kernel and without
+    # numpy's AVX-512 loops, every tranche decision is equal and every
+    # report.csv number agrees to rtol 1e-12
+    from numpy._core import _multiarray_umath as umath
+
+    avx512 = [
+        k
+        for k in umath.__cpu_dispatch__
+        if (k == "X86_V4" or k.startswith("AVX512")) and umath.__cpu_features__[k]
+    ]
+    cfg = write_config(tmp_path, "n_paths = 400\nhorizon = 16\nannuity.T = 16\n")
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    other = dict(env, OPENBLAS_CORETYPE="Haswell")
+    if avx512:
+        other["NPY_DISABLE_CPU_FEATURES"] = " ".join(avx512)
+    outs = [str(tmp_path / "default"), str(tmp_path / "other")]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _IDENTITY_CHILD, cfg, out],
+            env=e,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for e, out in zip((env, other), outs)
+    ]
+    streams = [proc.communicate() for proc in procs]
+    for proc, (_, stderr) in zip(procs, streams):
+        assert proc.returncode == 0, stderr
+    # the child really ran without the AVX-512 targets
+    assert set(avx512) <= set(json.loads(streams[1][0].splitlines()[-1]))
+
+    panels = [np.load(os.path.join(out, "panels.npz")) for out in outs]
+    for label in ("individual", "combination"):
+        assert np.array_equal(panels[0][label], panels[1][label], equal_nan=True), label
+    rows = [read_bytes(os.path.join(out, "report.csv")).decode().splitlines() for out in outs]
+    assert [r.split(",")[0] for r in rows[0]] == [r.split(",")[0] for r in rows[1]]
+    tables = [np.array([r.split(",")[1:] for r in lines[1:]], dtype=float) for lines in rows]
+    np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

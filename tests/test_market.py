@@ -13,6 +13,7 @@ from pensionsim import (
 )
 from pensionsim.lsmc import InflationEstimator
 from pensionsim.market import AnnuitySpec
+from pensionsim.scenario import ScenarioSet
 from pensionsim.errors import DomainError, EngineError, ParameterError
 
 
@@ -76,6 +77,18 @@ def test_factor_matches_direct_sum(default_inputs):
         oracle = np.sum((1.0 + i_t) ** mats / (1.0 + rates) ** mats)
         got = default_inputs.market.M[path, t]
         np.testing.assert_allclose(got, oracle, rtol=1e-12)
+
+
+def test_factor_bits_do_not_follow_the_rates_layout(default_inputs, monkeypatch):
+    # the annuity terms add in a stated order, so the memory layout of the
+    # spot rates they are built from cannot move a bit of M
+    s, spec, infl = default_inputs.scenarios, default_inputs.annuity, default_inputs.inflation
+    rates = ScenarioSet.rates
+    factors = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        monkeypatch.setattr(ScenarioSet, "rates", lambda self, *a, f=layout: f(rates(self, *a)))
+        factors.append(market_value_series(s, spec, infl).M)
+    assert np.array_equal(factors[0].view(np.uint64), factors[1].view(np.uint64))
 
 
 def test_matching_return_is_factor_growth(default_inputs):

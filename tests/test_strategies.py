@@ -35,7 +35,7 @@ from pensionsim import (
 from pensionsim import strategies
 from pensionsim.errors import DomainError, EngineError, ParameterError, ScheduleError
 from pensionsim.market import AnnuitySpec
-from pensionsim.strategies import _pairwise_sum, _run_tranches
+from pensionsim.strategies import _run_tranches
 
 
 def _params(T, r=0.02):
@@ -344,27 +344,6 @@ def test_individual_run_tranche_switches_once(small_inputs):
     assert (outcome.alpha >= 0.0).all() and (outcome.alpha <= 1.0).all()
 
 
-@pytest.mark.parametrize("n", [1, 37])
-def test_pairwise_sum_matches_numpy_row_sums(n):
-    # the kernel sums each path's tranches down a (tau, path) block; every
-    # path must come out as numpy's own sum of that path's contiguous row,
-    # so a change to numpy's summation order fails here
-    rng = np.random.default_rng(2011)
-    for k in range(1, 301):
-        block = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (k, n))
-        block[rng.random((k, n)) < 0.1] = 0.0
-        block[rng.random((k, n)) < 0.1] = -0.0
-        if n > 1:
-            block[:, 0] = -0.0  # numpy sums a row of -0.0 to +0.0
-        expected = np.add.reduce(np.ascontiguousarray(block.T), axis=1).view(np.uint64)
-        kept = block.copy()
-        got = _pairwise_sum(block, np.empty((8, n)), np.empty(n))
-        assert np.array_equal(got.view(np.uint64), expected), k
-        assert np.array_equal(block.view(np.uint64), kept.view(np.uint64))
-        got = _pairwise_sum(block, block[:8], np.empty(n))  # in place
-        assert np.array_equal(got.view(np.uint64), expected), k
-
-
 @pytest.mark.parametrize("a", [0.0, 0.37, 1.0])
 def test_tranche_kernel_at_one_mix_equals_static_run(small_inputs, a):
     # tranches held at one mix grow like the aggregate pot, and the
@@ -465,8 +444,8 @@ def long_inputs():
 
 @pytest.mark.parametrize("rule", ["individual", "index"])
 def test_long_horizon_tranche_run_equals_dense_reference(long_inputs, rule):
-    # the per-path sums over up to 131 tranches cross numpy's 8-way
-    # unrolled blocks and its 128-term pairwise split
+    # each path sums up to 131 tranches in birth order, far past the
+    # lengths at which numpy's own row sum would change its order
     n, T = long_inputs.n_paths, long_inputs.T
     if rule == "individual":
         params = _params(T, r=0.03)
