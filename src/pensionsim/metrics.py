@@ -9,11 +9,13 @@ Shortfall is the part of RR_T below the investor's target (non-positive by
 convention; reports quote the positive mean shortage).  VaR/CVaR use the
 lowest ceil(alpha * n) order statistics, deterministic under ties.
 
-Mid-career diagnostics estimate the expected replacement ratio R_t (from
-expected terminal wealth and a linear regression of M_T on M_t) and the
-target replacement ratio R*(t) implied by the wealth target, whose market
-value factor cancels.  Seen from year t, every future year grows at the
-flat current rate 1 + r + I_t, the convention of
+Mid-career diagnostics are the same ratio on the world seen from year t:
+inflation and wage inflation realized through t and flat after it, at the
+current expected inflation I_t (wages add the wage spread).  The expected
+replacement ratio R_t annuitizes expected terminal wealth at a linear
+regression of M_T on M_t; the target replacement ratio R*(t) annuitizes the
+wealth target, whose market value factor cancels.  Every future year grows at
+the flat rate 1 + r + I_t, the convention of
 :class:`~pensionsim.strategies.TargetFrame`'s (1 + r + I_t)^(T-t).
 """
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .career import contribution_path, salary_path
 from .engine import SimulationInputs, _fan_out
 from .errors import DomainError, EstimatorError, ParameterError
 from .lsmc import ceil_int, regress_now
@@ -32,6 +35,7 @@ from .strategies import (
     StaticMixStrategy,
     TargetFrame,
     TargetParams,
+    _compounded,
 )
 
 __all__ = [
@@ -48,14 +52,6 @@ __all__ = [
 ]
 
 
-def _indexation(pi: np.ndarray) -> np.ndarray:
-    """prod_{tau=t+1..T} (1 + pi_tau) for every t, shape like ``pi``."""
-    growth = 1.0 + pi[:, 1:]
-    out = np.ones_like(pi)
-    out[:, :-1] = np.cumprod(growth[:, ::-1], axis=1)[:, ::-1]
-    return out
-
-
 def replacement_ratio(w_T, M_T, salaries, inflations) -> np.ndarray:
     """Pension from annuitized wealth over the indexed average wage."""
     w_T = np.asarray(w_T, dtype=float)
@@ -67,7 +63,7 @@ def replacement_ratio(w_T, M_T, salaries, inflations) -> np.ndarray:
     if np.any(M_T <= 0.0):
         raise DomainError("market value factor at retirement must be positive")
     T = salaries.shape[1] - 1
-    denom = (salaries * _indexation(inflations)).sum(axis=1)
+    denom = _compounded(salaries, 1.0, inflations)[:, -1]
     if np.any(denom <= 0.0):
         raise DomainError("indexed wage sum must be positive")
     out = w_T / M_T * (T + 1) / denom
@@ -121,18 +117,20 @@ def cvar(samples, alpha: float) -> float:
 class ReplacementEstimators:
     """Mid-career replacement-ratio estimators on one prepared input set.
 
-    Fits a global linear regression of M_T on M_t for the year asked and
-    projects future contributions, wage indexation and target growth from the
-    current expected inflation I_t (plus the wage spread for wages), held flat
-    over the remaining career, so both R_t and R*(t) are computable at any
-    year from information available then.  The flat-I_t projection is the one
-    :class:`~pensionsim.strategies.TargetFrame` uses for E_t F_tau.
+    R_t and R*(t) are :func:`replacement_ratio` on the world seen from year t:
+    inflation and wage inflation realized through t and flat after it, at the
+    current expected inflation I_t (plus the wage spread for wages), with the
+    career panels laid out along that wage path.  Money grows from t to T at
+    1 + r + pi in that world, so each future year grows at the flat 1 + r +
+    I_t that :class:`~pensionsim.strategies.TargetFrame` uses for E_t F_tau.
+    E[M_T | year t] comes from a global linear regression of M_T on M_t, so
+    both ratios are computable at any year from information available then.
     """
 
     def __init__(self, inputs: SimulationInputs, params: TargetParams):
+        TargetFrame.build(inputs, params)  # checks the horizon, 1 + r + pi and 1 + r + I_t
         self.inputs = inputs
         self.params = params
-        self.frame = TargetFrame.build(inputs, params)
 
     # -- building blocks ---------------------------------------------------
 
@@ -149,84 +147,51 @@ class ReplacementEstimators:
             raise EstimatorError("regressed terminal annuity factor is not positive")
         return pred
 
-    def _projection(self, t: int):
-        """Future salaries and contributions seen from year t."""
+    def _seen_from(self, t: int):
+        """(pi, salaries, contributions) panels of the world seen from year t."""
         inputs, T = self.inputs, self.inputs.T
-        I_t = inputs.inflation.annual_rate(t)
-        spread = inputs.scenarios.wage_spread
-        wage_growth = 1.0 + I_t + spread
-        if np.any(wage_growth <= 0.0):
+        if not 0 <= t <= T:
+            raise ParameterError(f"t={t} outside 0..{T}")
+        I_t = inputs.inflation.annual_rate(t)[:, None]
+        pi = inputs.scenarios.pi[:, : T + 1].copy()
+        w = inputs.scenarios.w[:, : T + 1].copy()
+        pi[:, t + 1 :] = I_t
+        w[:, t + 1 :] = I_t + inputs.scenarios.wage_spread
+        if np.any(1.0 + w[:, t + 1 :] <= 0.0):
             raise EstimatorError("expected wage growth must stay positive")
-        career = np.asarray(inputs.schedule.career_rate)
-        horizon = np.arange(T - t + 1)  # offsets 0..T-t for years t..T
-        wage_proj = wage_growth[:, None] ** horizon[None, :]
-        career_proj = np.cumprod(np.concatenate(([1.0], 1.0 + career[t + 1 :])))
-        s_hat = inputs.salaries[:, t][:, None] * career_proj[None, :] * wage_proj
-        f_hat = inputs.franchises[:, t][:, None] * wage_proj
-        rates = np.asarray(inputs.schedule.contribution_rate)[t:]
-        c_hat = rates[None, :] * np.maximum(s_hat - f_hat, 0.0)
-        return s_hat, c_hat
+        return pi, salary_path(w, inputs.schedule), contribution_path(w, inputs.schedule)
 
-    def wage_denominator(self, t: int) -> np.ndarray:
-        """Expected indexed wage sum sum_u s_u prod_{tau>u}(1+pi) seen from t."""
-        inputs, T = self.inputs, self.inputs.T
-        cum = inputs.inflation.cum[:, : T + 1]
-        I_t = inputs.inflation.annual_rate(t)
-        s_hat, _ = self._projection(t)
-        # projected cumulative inflation: realized through t, flat I_t after
-        proj = (1.0 + I_t)[:, None] ** np.arange(T - t + 1)
-        cum_hat = np.concatenate((cum[:, :t], cum[:, t][:, None] * proj), axis=1)
-        salaries = np.concatenate((inputs.salaries[:, :t], s_hat), axis=1)
-        index = cum_hat[:, -1][:, None] / cum_hat
-        den = (salaries * index).sum(axis=1)
-        if np.any(den <= 0.0):
-            raise EstimatorError("expected indexed wage sum must be positive")
-        return den
-
-    def _grown_to_T(self, start: np.ndarray, t: int, last: int) -> np.ndarray:
-        """``start`` plus the projected contributions of years t+1..last,
-        each grown to T at (1 + r + I_t)^(T-k).
-
-        The current expected inflation I_t stands in for every later year,
-        as in ``TargetFrame.growth_exp``; year T's contribution is not grown.
-        ``TargetFrame.build`` in ``__init__`` has checked 1 + r + I_t > 0.
-        """
-        T = self.inputs.T
-        base = 1.0 + self.params.r + self.inputs.inflation.annual_rate(t)
-        _, c_hat = self._projection(t)
-        total = start
-        for k in range(t + 1, last + 1):
-            total = total + c_hat[:, k - t] * (base ** (T - k) if k < T else 1.0)
-        return total
+    def _wealth_at_T(self, wealth_t, t: int, pi, contributions) -> np.ndarray:
+        """``wealth_t`` and the contributions of years t+1..T-1 grown to T,
+        written over ``contributions``' columns t and T; year T's own
+        contribution is outside the forward sum by convention."""
+        flows = contributions[:, t:]
+        flows[:, -1] = 0.0
+        flows[:, 0] = wealth_t
+        return _compounded(flows, 1.0 + self.params.r, pi[:, t:])[:, -1]
 
     # -- headline estimators -----------------------------------------------
 
     def expected_terminal_wealth(self, wealth_t, t: int) -> np.ndarray:
-        """E[W_T | year t]: current wealth compounded plus future inflows.
-
-        Future contributions run through year T-1; year T's own
-        contribution is outside the forward sum by convention.
-        """
-        T = self.inputs.T
-        if not 0 <= t <= T:
-            raise ParameterError(f"t={t} outside 0..{T}")
-        base = 1.0 + self.params.r + self.inputs.inflation.annual_rate(t)
-        return self._grown_to_T(np.asarray(wealth_t, dtype=float) * base ** (T - t), t, T - 1)
+        """E[W_T | year t]: current wealth compounded plus future inflows."""
+        pi, _, contributions = self._seen_from(t)
+        return self._wealth_at_T(wealth_t, t, pi, contributions)
 
     def expected_rr(self, wealth_t, t: int) -> np.ndarray:
         """Expected replacement ratio R_t given wealth at year t."""
-        T = self.inputs.T
-        w = self.expected_terminal_wealth(wealth_t, t)
-        return w / self.expected_market_factor(t) * (T + 1) / self.wage_denominator(t)
+        pi, salaries, contributions = self._seen_from(t)
+        w_T = self._wealth_at_T(wealth_t, t, pi, contributions)
+        return replacement_ratio(w_T, self.expected_market_factor(t), salaries, pi)
 
     def target_rr(self, t: int) -> np.ndarray:
-        """Target replacement ratio R*(t); the annuity factor cancels."""
-        T = self.inputs.T
-        if not 0 <= t <= T:
-            raise ParameterError(f"t={t} outside 0..{T}")
-        frame = self.frame
-        pension = self._grown_to_T(frame.acc[:, t] * frame.growth_exp[:, t], t, T)
-        return pension / frame.m_tilde * (T + 1) / self.wage_denominator(t)
+        """Target replacement ratio R*(t); the annuity factor cancels.
+
+        The target pension compounds every contribution to T, realized
+        through t and projected after it, at 1 + r + pi.
+        """
+        pi, salaries, contributions = self._seen_from(t)
+        pension = _compounded(contributions, 1.0 + self.params.r, pi)[:, -1]
+        return replacement_ratio(pension, self.params.m_tilde, salaries, pi)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ terminal wealth, and replays the record through the same yearly step
 (``_walk_tranches``) to build its panels on first read.  Every sum over a
 path's tranches (its wealth, its allocation weight) adds the rows of the
 (tau, path) block from 0.0 in birth order, tau = 0 first: Python's ``sum``.
+Flows compounded at a rate (``TargetFrame.acc``, the replacement ratio's
+indexed wage sum) run through one loop, ``_compounded``.
 """
 
 from __future__ import annotations
@@ -185,11 +187,7 @@ class TargetFrame:
 
     @cached_property
     def acc(self) -> np.ndarray:
-        q, c = 1.0 + self.params.r + self.pi, self.contributions
-        acc = c.copy()
-        for t in range(1, self.params.T + 1):
-            acc[:, t] = acc[:, t - 1] * q[:, t] + c[:, t]
-        return acc
+        return _compounded(self.contributions, 1.0 + self.params.r, self.pi)
 
     @cached_property
     def target_cum(self) -> np.ndarray:
@@ -271,6 +269,20 @@ def _unit_growth(alpha, x_t, m_t):
     """One unit after a year at equity fraction ``alpha``: (risky part, total)."""
     risky = alpha * (1.0 + x_t)
     return risky, risky + (1.0 - alpha) * (1.0 + m_t)
+
+
+def _compounded(flows, base, rates) -> np.ndarray:
+    """Flows summed forward with a year's growth: ``out[:, 0] = flows[:, 0]``,
+    ``out[:, t] = out[:, t-1] * (base + rates[:, t]) + flows[:, t]``.
+
+    ``rates`` broadcasts against ``flows`` (an (n, 1) column holds one flat
+    rate per path), and each year's growth is formed as its column is reached.
+    """
+    out = np.array(flows, dtype=float)
+    rates = np.broadcast_to(rates, out.shape)
+    for t in range(1, out.shape[1]):
+        out[:, t] = out[:, t - 1] * (base + rates[:, t]) + out[:, t]
+    return out
 
 
 def _grown(wealth, alpha, x_t, m_t):

@@ -78,6 +78,40 @@ def dense_tranche_run(inputs, decide):
     return wealth, alpha, panel
 
 
+def reference_estimators(inputs, params, wealth_t, t, M_hat):
+    """Closed-form mid-career estimators ``(E_t[W_T], R_t, R*(t))`` at year t.
+
+    Written apart from the package's compounding: the indexed wage sum takes
+    ratios of realized cumulative inflation ``inflation.cum`` (flat I_t after
+    t), salaries and franchises grow from year t by ``wage_growth ** k``, and
+    every projected contribution of year k is grown by ``(1 + r + I_t) **
+    (T - k)``.  ``M_hat`` is E[M_T | year t].
+    """
+    T = inputs.T
+    I_t = inputs.inflation.annual_rate(t)
+    horizon = np.arange(T - t + 1)  # offsets 0..T-t for years t..T
+    wage_proj = (1.0 + I_t + inputs.scenarios.wage_spread)[:, None] ** horizon
+    career = np.asarray(inputs.schedule.career_rate)
+    career_proj = np.cumprod(np.concatenate(([1.0], 1.0 + career[t + 1 :])))
+    s_hat = inputs.salaries[:, t][:, None] * career_proj * wage_proj
+    f_hat = inputs.franchises[:, t][:, None] * wage_proj
+    rates = np.asarray(inputs.schedule.contribution_rate)[t:]
+    c_hat = rates * np.maximum(s_hat - f_hat, 0.0)
+    cum = inputs.inflation.cum[:, : T + 1]
+    cum_hat = np.hstack((cum[:, :t], cum[:, t][:, None] * (1.0 + I_t)[:, None] ** horizon))
+    salaries = np.hstack((inputs.salaries[:, :t], s_hat))
+    den = (salaries * (cum_hat[:, -1:] / cum_hat)).sum(axis=1)
+    grow = (1.0 + params.r + I_t)[:, None] ** (T - t - horizon)
+    # year T's contribution is outside the wealth forecast, inside the target
+    w_T = wealth_t * grow[:, 0] + (c_hat[:, 1:-1] * grow[:, 1:-1]).sum(axis=1)
+    c, pi = inputs.contributions, inputs.scenarios.pi
+    acc_t = sum(
+        c[:, k] * np.prod(1.0 + params.r + pi[:, k + 1 : t + 1], axis=1) for k in range(t + 1)
+    )
+    pension = acc_t * grow[:, 0] + (c_hat[:, 1:] * grow[:, 1:]).sum(axis=1)
+    return w_T, w_T / M_hat * (T + 1) / den, pension / params.m_tilde * (T + 1) / den
+
+
 def target_wealth_factor(pi, tau, t, params, expected_rate):
     """Scalar oracle for the compounding factor E_t F_tau of one contribution
     toward the target, which ``TargetFrame`` computes for all paths at once.

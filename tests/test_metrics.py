@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import reference_estimators
 from pensionsim import (
     IndividualTargetStrategy,
     ReplacementEstimators,
@@ -132,7 +133,7 @@ def test_expected_rr_exact_at_retirement(small_inputs):
         small_inputs.salaries,
         small_inputs.scenarios.pi[:, : T + 1],
     )
-    np.testing.assert_allclose(est.expected_rr(outcome.wealth[:, T], T), rr, rtol=1e-12)
+    np.testing.assert_array_equal(est.expected_rr(outcome.wealth[:, T], T), rr)
     np.testing.assert_allclose(
         est.expected_terminal_wealth(outcome.wealth[:, T], T),
         outcome.wealth[:, T],
@@ -183,6 +184,43 @@ def test_target_rr_matches_funded_target_at_retirement(small_inputs):
         small_inputs.scenarios.pi[:, : T + 1],
     )
     np.testing.assert_allclose(rr, est.target_rr(T), rtol=1e-10)
+    # R*(T) is the realized ratio of the funded pension, bit for bit
+    funded = replacement_ratio(
+        frame.acc[:, T], params.m_tilde, small_inputs.salaries,
+        small_inputs.scenarios.pi[:, : T + 1],
+    )
+    np.testing.assert_array_equal(est.target_rr(T), funded)
+
+
+def test_estimators_match_closed_forms_at_every_year(small_inputs):
+    params = _params(small_inputs.T)
+    est = ReplacementEstimators(small_inputs, params)
+    wealth = StaticMixStrategy(mix=0.5).run(small_inputs).wealth
+    for t in range(small_inputs.T + 1):
+        M_hat = est.expected_market_factor(t)
+        w_T, r_t, r_star = reference_estimators(small_inputs, params, wealth[:, t], t, M_hat)
+        np.testing.assert_allclose(
+            est.expected_terminal_wealth(wealth[:, t], t), w_T, rtol=1e-12, err_msg=f"t={t}"
+        )
+        np.testing.assert_allclose(est.expected_rr(wealth[:, t], t), r_t, rtol=1e-12,
+                                   err_msg=f"t={t}")
+        np.testing.assert_allclose(est.target_rr(t), r_star, rtol=1e-12, err_msg=f"t={t}")
+
+
+def test_estimators_refuse_non_positive_projected_wage_growth(small_inputs):
+    # 1 + I_t + spread <= 0 on every projected year; year T projects none
+    T = small_inputs.T
+    scenarios = replace(small_inputs.scenarios, wage_spread=-2.0)
+    est = ReplacementEstimators(replace(small_inputs, scenarios=scenarios), _params(T))
+    wealth = np.ones(small_inputs.n_paths)
+    for t in (0, T - 1):
+        with pytest.raises(EstimatorError, match="wage growth"):
+            est.expected_rr(wealth, t)
+        with pytest.raises(EstimatorError, match="wage growth"):
+            est.target_rr(t)
+    np.testing.assert_array_equal(
+        est.target_rr(T), ReplacementEstimators(small_inputs, _params(T)).target_rr(T)
+    )
 
 
 def test_target_rr_stable_within_paths(small_inputs):

@@ -1,5 +1,7 @@
 """Static mixes, glide paths and the two target-based allocation rules."""
 
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -35,7 +37,7 @@ from pensionsim import (
 from pensionsim import strategies
 from pensionsim.errors import DomainError, EngineError, ParameterError, ScheduleError
 from pensionsim.market import AnnuitySpec
-from pensionsim.strategies import _run_tranches
+from pensionsim.strategies import _compounded, _run_tranches
 
 
 def _params(T, r=0.02):
@@ -148,6 +150,29 @@ def test_cumulative_target_linearity_and_hand_sum():
         M_t=2.0 * p.m_tilde, m_tilde=p.m_tilde, expected_rate=i_t,
     )
     np.testing.assert_allclose(doubled, 2.0 * got, rtol=1e-14)
+
+
+@pytest.mark.parametrize("years", [1, 9])
+@pytest.mark.parametrize("flat", [False, True])
+def test_compounded_matches_per_path_sum(years, flat):
+    # out[p, t] = sum_u f_u prod_{k=u+1..t} (base + r_k), each path summed exactly
+    rng = np.random.default_rng(years + 2 * flat)
+    n, base = 6, 1.02
+    flows = rng.uniform(0.0, 2.0, (n, years))
+    rates = rng.uniform(-0.05, 0.1, (n, 1) if flat else (n, years))
+    before = flows.copy()
+    out = _compounded(flows, base, rates)
+    assert out.shape == (n, years)
+    assert np.array_equal(flows, before)
+    assert np.array_equal(out[:, 0], flows[:, 0])
+    r = np.broadcast_to(rates, flows.shape)
+    for p in range(n):
+        for t in range(years):
+            terms = (
+                flows[p, u] * math.prod(base + r[p, k] for k in range(u + 1, t + 1))
+                for u in range(t + 1)
+            )
+            assert out[p, t] == pytest.approx(math.fsum(terms), rel=1e-13, abs=0)
 
 
 def test_target_frame_decomposes_into_tranches(small_inputs):
