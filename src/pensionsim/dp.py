@@ -19,13 +19,14 @@ Terminal utility rewards ending between the configured ratio bounds:
     U(z) = [-(z - beta)^2 - (z - z_min)^2] / z,  beta = sqrt(2 z_max^2 - z_min^2)
 
 whose maximum sits exactly at z_max.  :func:`utility_check` computes it and
-:func:`z_step` moves a ratio one year; the solver and the shared-mode
-strategy call these, with no copies.  :func:`z_step` and ``_step_factors``,
-the solver's year-major (year, allocation, path) table of one-year factors,
-grow a ratio by the portfolio rule ``strategies._grown`` over its target.
+:func:`z_step` moves a ratio one year by the portfolio rule
+``strategies._grown`` over its target; ``_step_factors``, the year-major
+(year, allocation, path) table of one unit's factors, grows every ratio.
 
 Each fitted step becomes a step policy over z (``_StepPolicy``, built once
-per changed envelope) with one exact lookup: breaks go into uniform buckets
+per changed envelope), the one way a solved policy is applied: a ratio on
+a break takes the region above it, and elsewhere the argmax over the
+interpolated curves.  Its exact lookup puts breaks into uniform buckets
 through a monotone float map, so breaks in other buckets than z's lie on
 the known side of z and a ratio needs a table read plus one compare per
 break in its bucket.  The rollout gathers growth factors by flat
@@ -208,7 +209,6 @@ class _StepPolicy:
     def __init__(self, breaks: np.ndarray, regions: np.ndarray, n: int):
         self.breaks, self.regions = breaks, regions
         self.offsets = regions * n
-        self._paths = np.arange(n)
         nb = breaks.shape[0]
         first, last = (float(breaks[0]), float(breaks[-1])) if nb else (0.0, 0.0)
         # breaks cluster where curves cross; eight buckets per break leave
@@ -243,22 +243,22 @@ class _StepPolicy:
         """Grid indices the policy picks for ratios z."""
         return self.regions.take(self.count(z))
 
-    def flat_index(self, z: np.ndarray) -> np.ndarray:
-        """``region * n + path`` for ratios z whose last axis runs over the paths."""
+    def flat_index(self, z: np.ndarray, paths: np.ndarray) -> np.ndarray:
+        """``region * n + path`` for ratios z whose last axis runs over ``paths``."""
         idx = self.offsets.take(self.count(z))
-        idx += self._paths
+        idx += paths
         return idx
 
 
 @dataclass
 class PolicyModel:
-    """Solved policy: sampled expected-utility curves plus in-sample output.
+    """Solved policy: the solver's step policies, curves and in-sample output.
 
-    ``curves[i]`` holds, for decision time ``times[i]``, one expected-utility
-    curve per grid allocation sampled on ``z_nodes[i]``; lookups interpolate
-    linearly between nodes and extend flat beyond the training range.
-    ``decisions[i]`` are the in-sample optimal grid indices per scenario and
-    ``z_path`` the in-sample ratios at ``times`` plus the terminal year.
+    ``steps[i]`` is the step policy applied at decision time ``times[i]``,
+    the upper envelope of ``curves[i]``: one expected-utility curve per grid
+    allocation on ``z_nodes[i]``, linear between nodes and flat beyond them.
+    ``decisions[i]`` are the in-sample grid indices, ``steps[i]`` at
+    ``z_path[i]``; ``z_path`` holds the ratios at ``times`` and at T.
     """
 
     cfg: DpConfig
@@ -267,30 +267,22 @@ class PolicyModel:
     curves: list
     decisions: np.ndarray
     z_path: np.ndarray
+    steps: list
     utility_trace: list = field(default_factory=list)
 
     @property
     def grid(self) -> np.ndarray:
         return np.asarray(self.cfg.grid, dtype=float)
 
-    def _index(self, t: int) -> int:
+    def choice_at(self, t: int, z) -> np.ndarray:
+        """Grid index the step policy of time t picks for ratios z: a ratio on a
+        break takes the region above it, elsewhere the argmax of the curves."""
         i = int(t) - int(self.times[0])
         if not 0 <= i < len(self.times):
             raise ParameterError(
                 f"no decision solved for t={t}; policy covers {self.times[0]}..{self.times[-1]}"
             )
-        return i
-
-    def expected_utilities(self, t: int, z) -> np.ndarray:
-        """Fitted expected utility per grid allocation, shape (k, len(z))."""
-        i = self._index(t)
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        nodes, curves = self.z_nodes[i], self.curves[i]
-        return np.stack([np.interp(z, nodes, c) for c in curves])
-
-    def choice_at(self, t: int, z) -> np.ndarray:
-        """Grid index of the optimal allocation at time t for ratios z (ties go low)."""
-        return np.argmax(self.expected_utilities(t, z), axis=0)
+        return self.steps[i].choose(np.atleast_1d(np.asarray(z, dtype=float)))
 
     def decision_table(self) -> list:
         """(t, z, alpha) rows sampled on the stored z-node grids."""
@@ -379,7 +371,7 @@ class _SnakeSolver:
             return
         zk = self.z[s][None, :] * self.factors[s]
         for t in range(s + 1, self.nd):
-            zk *= self._flat_factors[t].take(self._env[t].flat_index(zk))
+            zk *= self._flat_factors[t].take(self._env[t].flat_index(zk, self._paths))
         u = utility_check(zk, self.cfg)
         key = int(self._dec_stamp[:s].max()) if s > 0 else 0
         if self._design_key[s] != key:
@@ -423,12 +415,12 @@ class _SnakeSolver:
             self.trace.append(float(utility_check(self.z[self.nd], self.cfg).mean()))
 
 
-def _solve_decisions(shared: tuple, tau: int) -> np.ndarray:
-    """In-sample grid indices, (decision times, paths), of the tranche born at
-    tau, by :func:`solve_policy` (looked up at each call): a worker sends back
-    this small array.  ``shared`` is ``(inputs, frame, cfg, factors)``."""
+def _solve_steps(shared: tuple, tau: int) -> list:
+    """Step policies, one per decision time, of the tranche born at tau, by
+    :func:`solve_policy` (looked up at each call): a worker sends back these
+    small objects.  ``shared`` is ``(inputs, frame, cfg, factors)``."""
     inputs, frame, cfg, factors = shared
-    return solve_policy(inputs, frame, cfg, tau=tau, factors=factors).decisions
+    return solve_policy(inputs, frame, cfg, tau=tau, factors=factors).steps
 
 
 def _step_factors(inputs: SimulationInputs, frame: TargetFrame, cfg: DpConfig) -> np.ndarray:
@@ -476,6 +468,7 @@ def solve_policy(
         curves=solver.curves,
         decisions=solver.decisions,
         z_path=solver.z,
+        steps=solver._env,
         utility_trace=solver.trace,
     )
 
@@ -484,12 +477,14 @@ def solve_policy(
 class CombinationStrategy:
     """Applies dynamic-programming policies to every contribution tranche.
 
-    ``per-contribution`` mode re-solves the program for each tranche and
-    uses its in-sample decisions; ``shared`` mode solves once for the first
-    tranche and evaluates that policy's curves at every tranche's ratio.
-    Either way the tranche kernel :func:`~pensionsim.strategies._run_tranches`,
-    the one the individual rule uses, grows the tranches on their grid
-    indices year by year; a last index, 0.0, converts them all at T.
+    Each year every tranche's ratio, started at the solver's ``z0`` and grown
+    by its factor table (so it has the solver's bits), is looked up in the
+    tranche's step policy for that year.  ``per-contribution`` mode solves the
+    program for each tranche, so the lookups give back each solve's in-sample
+    decisions; ``shared`` mode solves once for the first tranche, and every
+    tranche uses that policy's step at year t.  The tranche kernel
+    :func:`~pensionsim.strategies._run_tranches` grows the tranches on their
+    grid indices year by year; a last index, 0.0, converts them all at T.
 
     ``threads`` is the number of worker processes for the independent
     per-contribution tranche solves: above one, the tranches born at tau >= 1
@@ -513,32 +508,25 @@ class CombinationStrategy:
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         frame = TargetFrame.build(inputs, self.params)
         T = inputs.T
-        x, m = inputs.scenarios.x, inputs.market.m
         factors = _step_factors(inputs, frame, self.cfg)
-        # both modes hold their tranches year-major, (tau, path), like the
-        # kernel's state, and hand the kernel (path, tau) indices
+        shared = (inputs, frame, self.cfg, factors)
+        # steps[tau][t - tau]: the step policy of the tranche born at tau at year t
         if self.mode == "per-contribution":
-            # decisions[tau][t - tau]: grid indices of the tranche born at tau
-            shared = (inputs, frame, self.cfg, factors)
-            decisions = _fan_out(
-                _solve_decisions, shared, [(tau,) for tau in range(1, T)],
-                self.threads, cost=lambda tau: -tau, here=lambda: _solve_decisions(shared, 0),
+            steps = _fan_out(
+                _solve_steps, shared, [(tau,) for tau in range(1, T)],
+                self.threads, cost=lambda tau: -tau, here=lambda: _solve_steps(shared, 0),
             )
-
-            def choose(t):
-                return np.stack([decisions[tau][t - tau] for tau in range(t + 1)]).T
         else:
-            policy = solve_policy(inputs, frame, self.cfg, tau=0, factors=factors)
-            z = frame.z0(slice(None)).T.copy()
+            first = _solve_steps(shared, 0)
+            steps = [first[tau:] for tau in range(T)]
+        # the ratios held year-major, (tau, path), like the kernel's state
+        z = frame.z0(slice(None)).T.copy()
 
-            def choose(t):
-                born = z[: t + 1]
-                # interp runs fastest on queries in path order, where
-                # neighbouring tranches have close ratios
-                idx = policy.choice_at(t, born.T)
-                a, er = policy.grid[idx.T], frame.er[:, t + 1]
-                born[...] = z_step(born, a, x[:, t + 1], m[:, t + 1], er)
-                return idx
+        def choose(t):
+            born = z[: t + 1]
+            idx = np.stack([steps[tau][t - tau].choose(born[tau]) for tau in range(t + 1)])
+            born *= np.take_along_axis(factors[t + 1], idx, axis=0)
+            return idx.T
 
         conversion = len(self.cfg.grid)
         values = np.append(self.cfg.grid, 0.0)

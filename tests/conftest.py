@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from pensionsim import ModelParams, SimulationInputs, simulate
+from pensionsim import ModelParams, SimulationInputs, simulate, z_step
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.market import AnnuitySpec
 
@@ -197,6 +197,32 @@ def einsum_loess_apply(design, responses):
     for i in np.nonzero(design.none_mask)[0]:
         fits[:, i] = yw[:, i, design.nearest[i]]
     return fits
+
+
+def interp_choice(policy, t, z):
+    """Reference lookup of a solved policy: the argmax, ties going low, over
+    the fitted curves of time t interpolated linearly at the ratios z and
+    flat beyond the nodes.  ``PolicyModel.choice_at`` must equal it
+    everywhere except exactly on a break of its step policy.
+    """
+    i = int(t) - int(policy.times[0])
+    z = np.asarray(z, dtype=float)
+    nodes, curves = policy.z_nodes[i], policy.curves[i]
+    return np.argmax(np.stack([np.interp(z, nodes, c) for c in curves]), axis=0)
+
+
+def interp_replay(inputs, frame, policy, tau):
+    """Reference shared-mode allocations, (n_paths, T - tau), of the tranche
+    born at tau: ``interp_choice`` of ``policy`` at each year, the ratio
+    moved from ``frame.z0(tau)`` by ``z_step``.
+    """
+    T, grid = inputs.T, policy.grid
+    x, m = inputs.scenarios.x, inputs.market.m
+    out, z = np.empty((inputs.n_paths, T - tau)), frame.z0(tau)
+    for t in range(tau, T):
+        out[:, t - tau] = grid[interp_choice(policy, t, z)]
+        z = z_step(z, out[:, t - tau], x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
+    return out
 
 
 def _plin_eval(nodes, curves, q):

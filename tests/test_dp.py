@@ -14,6 +14,8 @@ from conftest import (
     dense_tranche_run,
     einsum_loess_apply,
     flat_params,
+    interp_choice,
+    interp_replay,
     reference_envelope,
 )
 from pensionsim import (
@@ -164,8 +166,8 @@ def test_toy_policy_matches_enumeration(tmp_path):
 
 
 def test_solver_trace_improves_on_second_iteration(small_inputs):
-    # later iterations may oscillate (the sweep is a heuristic), but the
-    # second pass must not lose ground against the first
+    # the sweep is a heuristic and a later pass can lose ground (it does on
+    # some seeds); on this fixture the second pass is no worse than the first
     frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
     policy = solve_policy(small_inputs, frame, DpConfig(iterations=2), tau=0)
     trace = policy.utility_trace
@@ -281,6 +283,7 @@ def _flat_policy(values):
         curves=curves,
         decisions=np.zeros((1, 1), dtype=int),
         z_path=np.ones((2, 1)),
+        steps=[_StepPolicy(*_envelope(nodes, curves[0]), 1)],
     )
 
 
@@ -293,30 +296,38 @@ def test_choice_at_picks_argmax_and_breaks_ties_low():
         _flat_policy([0.0, 1.0, 0.5]).choice_at(7, 1.5)
 
 
-def test_policy_lookup_extends_flat(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
-    policy = solve_policy(small_inputs, frame, tau=0)
-    t = int(policy.times[3])
-    lo, hi = policy.z_nodes[3][0], policy.z_nodes[3][-1]
-    np.testing.assert_allclose(
-        policy.expected_utilities(t, lo * 1e-3), policy.expected_utilities(t, lo)
-    )
-    np.testing.assert_allclose(
-        policy.expected_utilities(t, hi * 1e3), policy.expected_utilities(t, hi)
-    )
+@pytest.fixture(scope="module", params=[(0, 1), (0, 2), (-3, 1), (-3, 2)],
+                ids=["tau0-deg1", "tau0-deg2", "tauT-3-deg1", "tauT-3-deg2"])
+def solved_policy(request, small_inputs):
+    """A solved policy of the tranche born at tau = 0 or T - 3, LOESS degree 1 or 2."""
+    tau, degree = request.param
+    T = small_inputs.T
+    frame = TargetFrame.build(small_inputs, _params(T))
+    return solve_policy(small_inputs, frame, DpConfig(loess_degree=degree), tau=tau % T)
 
 
-def test_policy_lookup_interpolates_between_nodes(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
-    policy = solve_policy(small_inputs, frame, tau=0)
-    nodes, curves = policy.z_nodes[2], policy.curves[2]
-    t = int(policy.times[2])
-    mid = 0.5 * (nodes[4] + nodes[5])
-    np.testing.assert_allclose(
-        policy.expected_utilities(t, mid)[:, 0],
-        0.5 * (curves[:, 4] + curves[:, 5]),
-        rtol=1e-13,
-    )
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=40))
+def test_choice_at_is_the_argmax_of_the_interpolated_curves(solved_policy, drawn):
+    policy = solved_policy
+    for i, t in enumerate(policy.times):
+        nodes, breaks = policy.z_nodes[i], policy.steps[i].breaks
+        z = np.array(drawn)
+        z = z[~np.isin(z, breaks)]
+        for q in (nodes, z):
+            assert np.array_equal(policy.choice_at(t, q), interp_choice(policy, t, q))
+        # the step policy extends flat beyond the training range
+        below = nodes[0] * np.array([1e-3, 0.5, 1.0 - 2.0**-52])
+        above = nodes[-1] * np.array([1.0 + 2.0**-52, 2.0, 1e3])
+        assert np.all(policy.choice_at(t, below) == policy.choice_at(t, nodes[0]))
+        assert np.all(policy.choice_at(t, above) == policy.choice_at(t, nodes[-1]))
+
+
+def test_in_sample_decisions_are_the_step_lookups_of_the_ratios(solved_policy):
+    # the per-contribution strategy's exact replay of each solve rests on this
+    policy = solved_policy
+    for i, t in enumerate(policy.times):
+        assert np.array_equal(policy.decisions[i], policy.choice_at(t, policy.z_path[i]))
 
 
 @st.composite
@@ -435,7 +446,8 @@ def test_step_policy_count_matches_direct_count(breaks, drawn):
     # any positive ratio, whatever error state their caller sets
     with np.errstate(all="raise"):
         policy = _StepPolicy(breaks, regions, n)
-        count, chosen, flat = policy.count(z), policy.choose(z), policy.flat_index(rows)
+        count, chosen = policy.count(z), policy.choose(z)
+        flat = policy.flat_index(rows, np.arange(n))
     assert np.array_equal(count, want)
     assert np.array_equal(chosen, regions[want])
     assert np.array_equal(
@@ -541,18 +553,14 @@ def test_combination_run_equals_dense_reference(small_inputs, mode):
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
     params = _params(T)
     frame = TargetFrame.build(small_inputs, params)
-    x, m = small_inputs.scenarios.x, small_inputs.market.m
     grid = np.asarray(cfg.grid)
     full = np.full((small_inputs.n_paths, T + 1, T + 1), np.nan)
     policy = solve_policy(small_inputs, frame, cfg, tau=0)
     for tau in range(T):
         if mode == "per-contribution":
             full[:, tau:T, tau] = grid[solve_policy(small_inputs, frame, cfg, tau=tau).decisions].T
-            continue
-        z = frame.z0(tau)
-        for t in range(tau, T):
-            full[:, t, tau] = policy.grid[policy.choice_at(t, z)]
-            z = z_step(z, full[:, t, tau], x[:, t + 1], m[:, t + 1], frame.er[:, t + 1])
+        else:
+            full[:, tau:T, tau] = interp_replay(small_inputs, frame, policy, tau)
     full[:, T, :] = 0.0
     reference = dense_tranche_run(small_inputs, lambda t, live: full[:, t, : t + 1])
     outcome = CombinationStrategy(params, cfg=cfg, mode=mode).run(small_inputs)

@@ -15,7 +15,13 @@ import pensionsim
 import pensionsim.cli as cli
 import pensionsim.dp as dp
 import pensionsim.engine as engine
-from pensionsim import CombinationStrategy, DpConfig, IndividualTargetStrategy, TargetParams
+from pensionsim import (
+    CombinationStrategy,
+    DpConfig,
+    IndividualTargetStrategy,
+    TargetFrame,
+    TargetParams,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -91,6 +97,19 @@ def test_package_outcomes_pass_the_tranche_oracles(small_inputs, monkeypatch):
         assert oracles.check_combination(
             outcome.terminal_wealth, outcome.tranche_alpha, p["x"], p["m"], p["c"]
         ) == []
+
+
+def test_solved_policy_passes_the_policy_checks(small_inputs, monkeypatch):
+    # a check run replays ``PolicyModel.decisions`` through ``z_step`` from
+    # ``times`` and ``cfg``, and scores ``z_path`` and ``decision_table``
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import traced
+
+    params = TargetParams(r=0.01, T=small_inputs.T)
+    policy = dp.solve_policy(small_inputs, TargetFrame.build(small_inputs, params), tau=0)
+    bad, switches, _ = traced.policy_checks(policy, params, small_inputs)
+    assert bad == []
+    assert switches > 0
 
 
 def test_tranche_solves_run_through_a_wrapped_solve_policy(small_inputs, monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     dense_accumulate,
     dense_tranche_run,
     flat_params,
+    interp_replay,
     reference_tranche_targets,
     target_wealth_factor,
 )
@@ -32,6 +33,7 @@ from pensionsim import (
     optimize_static_mix,
     post_retirement_factor,
     simulate,
+    solve_policy,
     static_step,
 )
 from pensionsim import strategies
@@ -521,18 +523,27 @@ def test_tranche_rules_report_zero_alpha_without_wealth():
         annuity=AnnuitySpec(T=12, N=20),
         schedule=replace(default_schedule(), base_salary=10000.0),
     )
-    params = _params(12)
+    params, cfg = _params(12), DpConfig(curve_points=21)
     individual = IndividualTargetStrategy(params).run(inputs)
     empty = individual.wealth == 0
     assert empty[:, :10].all()
-    for outcome in (
-        individual,
-        CombinationStrategy(params, cfg=DpConfig(curve_points=21)).run(inputs),
-    ):
-        assert np.array_equal(outcome.wealth == 0, empty)
-        assert np.all(outcome.alpha[empty] == 0.0)
+    assert np.all(individual.alpha[empty] == 0.0)
     # every empty tranche has reached its zero target and is absorbed
     assert np.all(individual.tranche_alpha[:, 9, :10] == 0.0)
+    # the combination's empty tranches still have a ratio, and follow their
+    # policies: the solves' own decisions, or the first tranche's curves
+    frame = TargetFrame.build(inputs, params)
+    first = solve_policy(inputs, frame, cfg, tau=0)
+    for mode in ("per-contribution", "shared"):
+        outcome = CombinationStrategy(params, cfg=cfg, mode=mode).run(inputs)
+        assert np.array_equal(outcome.wealth == 0, empty)
+        assert np.all(outcome.alpha[empty] == 0.0)
+        for tau in range(10):
+            if mode == "per-contribution":
+                want = first.grid[solve_policy(inputs, frame, cfg, tau=tau).decisions].T
+            else:
+                want = interp_replay(inputs, frame, first, tau)
+            assert np.array_equal(outcome.tranche_alpha[:, tau:12, tau], want)
 
 
 def test_target_rules_scale_with_monetary_units(small_inputs):
