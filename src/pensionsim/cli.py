@@ -228,6 +228,12 @@ def _validate(cfg: RunConfig) -> None:
     try:
         _dp_config(cfg)
         _model_params(cfg).validate()
+        # every required return a command can use, before any scenario is built
+        for key in (
+            "strategy.r", "report.cumulative_r", "report.individual_r", "report.combination_r",
+            "evaluation.estimation_r", "frontier.r_min", "frontier.r_max",
+        ):
+            _target_params(cfg, v[key])
     except EngineError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -4,15 +4,16 @@ The state is Z = W / W-target per contribution tranche, which removes the
 tranche size and birth year from the problem: one policy in Z serves every
 tranche.  The solver discretizes the control to a small allocation grid and
 walks a snake-like pattern through the decision times: solve the last
-sub-problem, then repeatedly update future sub-problems backward, solve the
-earliest untouched time, and update forward again.  Expected terminal
-utility conditional on the current state is estimated cross-sectionally
-with local (LOESS) regression of realized terminal utilities on Z, sampled
-on ``curve_points`` evenly spaced nodes.  The regression is the design/apply
-LOESS of :mod:`pensionsim.lsmc`, the code behind
-:class:`~pensionsim.lsmc.LoessModel`: a design (windows and tri-cube
-weights) is reused across refreshes while the ratios it was built on are
-unchanged, and one batched matmul fits every allocation's curve on it.
+sub-problem once, then repeatedly update future sub-problems backward from
+the one below the last, solve the earliest untouched time, and update
+forward again, so no refresh repeats the one just before it.  Expected
+terminal utility conditional on the current state is estimated
+cross-sectionally with local (LOESS) regression of realized terminal
+utilities on Z, sampled on ``curve_points`` evenly spaced nodes.  The
+regression is the design/apply LOESS of :mod:`pensionsim.lsmc`, the code
+behind :class:`~pensionsim.lsmc.LoessModel`: a design (windows and tri-cube
+weights) is reused until a decision before its step changes, and one
+batched matmul fits every allocation's curve on it.
 
 Terminal utility rewards ending between the configured ratio bounds:
 
@@ -23,8 +24,8 @@ whose maximum sits exactly at z_max.  :func:`utility_check` computes it and
 ``strategies._grown`` over its target; ``_step_factors``, the year-major
 (year, allocation, path) table of one unit's factors, grows every ratio.
 
-Each fitted step becomes a step policy over z (``_StepPolicy``, built once
-per changed envelope), the one way a solved policy is applied: a ratio on
+Each fitted step becomes a step policy over z (``_StepPolicy``, built on
+every refresh), the one way a solved policy is applied: a ratio on
 a break takes the region above it, and elsewhere the argmax over the
 interpolated curves.  Its exact lookup puts breaks into uniform buckets
 through a monotone float map, so breaks in other buckets than z's lie on
@@ -324,18 +325,13 @@ class _SnakeSolver:
         self.z_nodes = [None] * self.nd
         self.curves = [None] * self.nd
         self.trace: list = []
-        # A fit at step s reads the design points z[s] (set by decisions
-        # before s) and rolls counterfactuals forward through the fitted
-        # step policies after s.  Stamping decision and policy changes
-        # with one event clock lets an update be skipped exactly when its
-        # inputs are unchanged, i.e. when rerunning it would be a no-op.
-        self._stamp = 0
-        self._dec_stamp = np.zeros(self.nd, dtype=np.int64)
-        self._env_stamp = np.zeros(self.nd, dtype=np.int64)
-        self._fitted_at = np.full(self.nd, -1, dtype=np.int64)
+        # The LOESS design at step s reads only z[s], which only decisions
+        # before s move: a refresh that changes decisions marks the designs
+        # after it invalid.  A stale design stays in place until its rebuild;
+        # freeing it early makes the rebuilds fault their memory in afresh.
         self._env: list = [None] * self.nd
         self._design: list = [None] * self.nd
-        self._design_key = np.full(self.nd, -1, dtype=np.int64)
+        self._design_valid = np.zeros(self.nd, dtype=bool)
         self._propagate(0, self._paths)
 
     def _propagate(self, start: int, paths: np.ndarray) -> None:
@@ -351,14 +347,6 @@ class _SnakeSolver:
             z = z * self._flat_factors[s].take(at)
             self.z[s + 1, paths] = z
 
-    def _stale(self, s: int) -> bool:
-        fitted = self._fitted_at[s]
-        if fitted < 0:
-            return True
-        if s > 0 and self._dec_stamp[:s].max() > fitted:
-            return True
-        return s + 1 < self.nd and self._env_stamp[s + 1 :].max() > fitted
-
     def _refresh(self, s: int) -> None:
         """Re-fit the expected-utility curves at time index s and re-decide.
 
@@ -367,47 +355,33 @@ class _SnakeSolver:
         the regression responses value each choice under state-feedback
         control rather than under the scenario's incumbent decision sequence.
         """
-        if not self._stale(s):
-            return
         zk = self.z[s][None, :] * self.factors[s]
         for t in range(s + 1, self.nd):
             zk *= self._flat_factors[t].take(self._env[t].flat_index(zk, self._paths))
         u = utility_check(zk, self.cfg)
-        key = int(self._dec_stamp[:s].max()) if s > 0 else 0
-        if self._design_key[s] != key:
+        if not self._design_valid[s]:
             zs = self.z[s]
-            z_lo, z_hi = float(zs.min()), float(zs.max())
-            if z_lo < z_hi:
-                nodes = np.linspace(z_lo, z_hi, self.cfg.curve_points)
-            else:
-                nodes = np.array([z_lo])
+            lo, hi = float(zs.min()), float(zs.max())
+            nodes = np.linspace(lo, hi, self.cfg.curve_points) if lo < hi else np.array([lo])
             self._design[s] = _loess_geometry(zs, nodes, self.cfg.loess_d, self.cfg.loess_degree)
             self.z_nodes[s] = nodes
-            self._design_key[s] = key
+            self._design_valid[s] = True
         self.curves[s] = _loess_apply(self._design[s], u)
-        breaks, regions = _envelope(self.z_nodes[s], self.curves[s])
-        old = self._env[s]
-        if old is None or not (
-            np.array_equal(breaks, old.breaks) and np.array_equal(regions, old.regions)
-        ):
-            self._env[s] = _StepPolicy(breaks, regions, self.n)
-            self._stamp += 1
-            self._env_stamp[s] = self._stamp
+        self._env[s] = _StepPolicy(*_envelope(self.z_nodes[s], self.curves[s]), self.n)
         new = self._env[s].choose(self.z[s])
         changed = np.flatnonzero(new != self.decisions[s])
         if changed.size:
             self.decisions[s] = new
-            self._stamp += 1
-            self._dec_stamp[s] = self._stamp
+            self._design_valid[s + 1 :] = False
             self._propagate(s, changed)
-        self._fitted_at[s] = self._stamp
 
     def solve(self) -> None:
         last = self.nd - 1
+        self._refresh(last)
         for _ in range(self.cfg.iterations):
-            self._refresh(last)
             for i in range(self.nd - 2, -1, -1):
-                for tb in range(last, i, -1):
+                # the walk before this one ended on `last`: refreshing it again would change nothing
+                for tb in range(last - 1, i, -1):
                     self._refresh(tb)
                 self._refresh(i)
                 for tf in range(i + 1, last + 1):

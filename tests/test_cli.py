@@ -208,6 +208,30 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("strategy.target_rr = 5\n", "target replacement ratio"),
+        ("strategy.delta = -2\n", "discount rate"),
+        ("strategy.r = -1\n", "required return"),
+        ("report.cumulative_r = -2\n", "required return"),
+        ("report.individual_r = -1.5\n", "required return"),
+        ("report.combination_r = -1\n", "required return"),
+        ("evaluation.estimation_r = -3\n", "required return"),
+        ("frontier.r_min = -2\n", "required return"),
+    ],
+)
+def test_bad_target_parameters_rejected_at_parse_time(tmp_path, capsys, text, match):
+    # before any scenario is simulated, whichever command would read them
+    path = write_config(tmp_path, SMALL + text)
+    with pytest.raises(ConfigError, match=match):
+        cli.parse_config(path)
+    out = tmp_path / "o"
+    assert cli.main(["report", "--config", path, "--out", str(out)]) == 1
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--seed", "-5"], ["--threads", "-3"]])
 def test_negative_seed_or_threads_override_exits_1(tmp_path, capsys, flag):
     out = tmp_path / "o"

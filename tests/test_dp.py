@@ -35,6 +35,7 @@ from pensionsim import (
 from pensionsim import cli, dp
 from pensionsim.dp import _envelope, _SnakeSolver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
+from pensionsim.lsmc import _loess_geometry
 from pensionsim.market import AnnuitySpec
 
 
@@ -186,12 +187,24 @@ def test_solver_is_deterministic(small_inputs):
 
 
 class _FullRecomputeCheck(_SnakeSolver):
-    """Solver that compares its ratios with a full rollout after every refresh."""
+    """Solver that compares its ratios with a full rollout after every refresh,
+    and every design marked valid with a fresh one before it."""
 
     refreshes = 0
     partial = 0
+    designs = 0
 
     def _refresh(self, s):
+        cfg = self.cfg
+        for t in np.flatnonzero(self._design_valid):
+            zs = self.z[t]
+            lo, hi = zs.min(), zs.max()
+            nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
+            want = _loess_geometry(zs, nodes, cfg.loess_d, cfg.loess_degree)
+            assert np.array_equal(self.z_nodes[t], nodes)
+            for name in ("order", "lo", "ws"):
+                assert np.array_equal(getattr(self._design[t], name), getattr(want, name))
+            _FullRecomputeCheck.designs += 1
         before = self.decisions[s].copy()
         super()._refresh(s)
         full = np.empty_like(self.z)
@@ -210,12 +223,61 @@ def test_changed_path_propagation_matches_full_rollout(small_inputs, monkeypatch
     monkeypatch.setattr(dp, "_SnakeSolver", _FullRecomputeCheck)
     monkeypatch.setattr(_FullRecomputeCheck, "refreshes", 0)
     monkeypatch.setattr(_FullRecomputeCheck, "partial", 0)
+    monkeypatch.setattr(_FullRecomputeCheck, "designs", 0)
     got = solve_policy(small_inputs, frame, tau=0)
     # the check ran, and on refreshes that moved only some paths' decisions
     assert _FullRecomputeCheck.refreshes > 0
     assert _FullRecomputeCheck.partial > 0
+    assert _FullRecomputeCheck.designs > 0
     assert np.array_equal(got.decisions, want.decisions)
     assert np.array_equal(got.z_path, want.z_path)
+
+
+class _CountingSolver(_SnakeSolver):
+    """Solver that records the step of every refresh it issues."""
+
+    def __init__(self, *args):
+        self.refreshed = []
+        super().__init__(*args)
+
+    def _refresh(self, s):
+        self.refreshed.append(s)
+        super()._refresh(s)
+
+
+def _tranche_solver(inputs, cfg, tau, solver=_SnakeSolver):
+    frame = TargetFrame.build(inputs, _params(inputs.T))
+    factors = dp._step_factors(inputs, frame, cfg)
+    return solver(frame.z0(tau), factors[tau + 1 : inputs.T + 1], cfg)
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+@pytest.mark.parametrize("nd", [1, 2, 6])
+def test_snake_issues_each_refresh_once(small_inputs, nd, iterations):
+    solver = _tranche_solver(
+        small_inputs, DpConfig(iterations=iterations), small_inputs.T - nd, _CountingSolver
+    )
+    solver.solve()
+    steps = solver.refreshed
+    assert len(steps) == 1 + iterations * nd * (nd - 1)
+    assert all(a != b for a, b in zip(steps, steps[1:]))
+    assert len(solver.trace) == iterations
+
+
+def test_refreshing_the_last_step_again_changes_nothing(small_inputs):
+    # the turn the snake no longer issues: the last step refreshed right
+    # after itself reads the same inputs and decides the same way
+    solver = _tranche_solver(small_inputs, DpConfig(), 0)
+    solver.solve()
+    decisions, z, curves = solver.decisions.copy(), solver.z.copy(), list(solver.curves)
+    steps = list(solver._env)
+    solver._refresh(solver.nd - 1)
+    assert np.array_equal(solver.decisions, decisions)
+    assert np.array_equal(solver.z, z)
+    for a, b in zip(solver.curves, curves):
+        assert np.array_equal(a, b)
+    for a, b in zip(solver._env, steps):
+        assert np.array_equal(a.breaks, b.breaks) and np.array_equal(a.regions, b.regions)
 
 
 def test_decisions_match_einsum_loess_reference(monkeypatch):
