@@ -225,9 +225,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"inflation.floor must be positive, got {v['inflation.floor']}")
     if not 0 <= v["evaluation.estimation_lag"] <= v["annuity.T"]:
         raise ConfigError("evaluation.estimation_lag must lie in 0..annuity.T")
+    key = None
     try:
         _dp_config(cfg)
         _model_params(cfg).validate()
+        _target_params(cfg, 0.0)  # the parameters every required return shares
         # every required return a command can use, before any scenario is built
         for key in (
             "strategy.r", "report.cumulative_r", "report.individual_r", "report.combination_r",
@@ -235,7 +237,7 @@ def _validate(cfg: RunConfig) -> None:
         ):
             _target_params(cfg, v[key])
     except EngineError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
 
 
 def _model_params(cfg: RunConfig) -> ModelParams:

@@ -3,17 +3,16 @@
 The state is Z = W / W-target per contribution tranche, which removes the
 tranche size and birth year from the problem: one policy in Z serves every
 tranche.  The solver discretizes the control to a small allocation grid and
-walks a snake-like pattern through the decision times: solve the last
-sub-problem once, then repeatedly update future sub-problems backward from
-the one below the last, solve the earliest untouched time, and update
-forward again, so no refresh repeats the one just before it.  Expected
-terminal utility conditional on the current state is estimated
-cross-sectionally with local (LOESS) regression of realized terminal
-utilities on Z, sampled on ``curve_points`` evenly spaced nodes.  The
-regression is the design/apply LOESS of :mod:`pensionsim.lsmc`, the code
-behind :class:`~pensionsim.lsmc.LoessModel`: a design (windows and tri-cube
-weights) is reused until a decision before its step changes, and one
-batched matmul fits every allocation's curve on it.
+runs regression-based backward induction with forward re-simulation
+(Longstaff & Schwartz 2001; Brandt, Goyal, Santa-Clara & Stroud 2005) from
+every path all in equity.  A sweep fits the decision times last first: each
+fit forces every grid allocation at its step, follows the step policies
+fitted above it to T, and estimates expected terminal utility given Z by
+regressing the realized utilities on Z with the design/apply LOESS of
+:mod:`pensionsim.lsmc`, one batched matmul fitting every allocation's curve
+on ``curve_points`` evenly spaced nodes.  Then one forward pass re-decides
+every step from its step policy and rolls the ratios on.  One initial sweep
+is followed by ``iterations`` traced ones.
 
 Terminal utility rewards ending between the configured ratio bounds:
 
@@ -25,14 +24,13 @@ whose maximum sits exactly at z_max.  :func:`utility_check` computes it and
 (year, allocation, path) table of one unit's factors, grows every ratio.
 
 Each fitted step becomes a step policy over z (``_StepPolicy``, built on
-every refresh), the one way a solved policy is applied: a ratio on
+every fit), the one way a solved policy is applied: a ratio on
 a break takes the region above it, and elsewhere the argmax over the
 interpolated curves.  Its exact lookup puts breaks into uniform buckets
 through a monotone float map, so breaks in other buckets than z's lie on
 the known side of z and a ratio needs a table read plus one compare per
-break in its bucket.  The rollout gathers growth factors by flat
-``region * n + path`` indices, and a refresh that changes decisions
-re-rolls only the paths whose decision changed.
+break in its bucket.  The counterfactual rollout gathers growth factors by
+flat ``region * n + path`` indices.
 
 The per-contribution tranche solves are independent, and their kernels hold
 the interpreter lock, so :class:`CombinationStrategy` runs them in worker
@@ -69,7 +67,7 @@ class DpConfig:
     grid: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     z_min: float = 1.0
     z_max: float = 3.0
-    iterations: int = 2
+    iterations: int = 2  # traced sweeps after one initial sweep
     loess_d: float = 0.2
     loess_degree: int = 1
     curve_points: int = 101
@@ -84,9 +82,7 @@ class DpConfig:
         if np.any(np.diff(g) <= 0.0):
             raise ParameterError("allocation grid must be strictly increasing")
         if not 0.0 < self.z_min < self.z_max:
-            raise ParameterError(
-                f"need 0 < z_min < z_max, got ({self.z_min}, {self.z_max})"
-            )
+            raise ParameterError(f"need 0 < z_min < z_max, got ({self.z_min}, {self.z_max})")
         if self.iterations < 1:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.loess_d <= 1.0:
@@ -303,7 +299,7 @@ def export_policy_csv(policy: PolicyModel) -> str:
     return "t,z,alpha\n" + "".join(f"{t},{z!r},{a!r}\n" for t, z, a in policy.decision_table())
 
 
-class _SnakeSolver:
+class _Solver:
     """Algorithm state for one tranche: factors, decisions and ratios."""
 
     def __init__(self, z0: np.ndarray, factors: np.ndarray, cfg: DpConfig):
@@ -315,78 +311,54 @@ class _SnakeSolver:
         # the tranche's rows of the year-major factor table, kept as given: one
         # contiguous (allocation, path) slab per step for the per-step gathers
         self.factors = factors
-        self.nd = factors.shape[0]
-        self.n = z0.shape[0]
+        self.nd, self.n = factors.shape[0], z0.shape[0]
         self._flat_factors = factors.reshape(self.nd, -1)
         self._paths = np.arange(self.n)
-        self.decisions = np.zeros((self.nd, self.n), dtype=np.int64)
+        self.decisions = np.empty((self.nd, self.n), dtype=np.int64)
         self.z = np.empty((self.nd + 1, self.n))
         self.z[0] = z0
-        self.z_nodes = [None] * self.nd
-        self.curves = [None] * self.nd
+        self.z_nodes, self.curves = [None] * self.nd, [None] * self.nd
+        # the start: every path all in equity (all in matching gave policies
+        # that did worse out of sample)
+        self._env = [_StepPolicy(np.empty(0), np.array([len(cfg.grid) - 1]), self.n)] * self.nd
         self.trace: list = []
-        # The LOESS design at step s reads only z[s], which only decisions
-        # before s move: a refresh that changes decisions marks the designs
-        # after it invalid.  A stale design stays in place until its rebuild;
-        # freeing it early makes the rebuilds fault their memory in afresh.
-        self._env: list = [None] * self.nd
-        self._design: list = [None] * self.nd
-        self._design_valid = np.zeros(self.nd, dtype=bool)
-        self._propagate(0, self._paths)
+        self._forward()
 
-    def _propagate(self, start: int, paths: np.ndarray) -> None:
-        """Roll the ratios of ``paths`` forward from step ``start``.
+    def _forward(self) -> None:
+        """Re-decide every step from its step policy and roll every path on."""
+        for s in range(self.nd):
+            self.decisions[s] = self._env[s].choose(self.z[s])
+            at = self.decisions[s] * self.n + self._paths
+            self.z[s + 1] = self.z[s] * self._flat_factors[s].take(at)
 
-        Called with every path at set-up and, after a refresh, with the paths
-        whose decision at ``start`` changed: every other path keeps its
-        decisions and ratios, so its products are unchanged.
-        """
-        z = self.z[start, paths]
-        for s in range(start, self.nd):
-            at = self.decisions[s].take(paths) * self.n + paths
-            z = z * self._flat_factors[s].take(at)
-            self.z[s + 1, paths] = z
-
-    def _refresh(self, s: int) -> None:
-        """Re-fit the expected-utility curves at time index s and re-decide.
+    def _fit(self, s: int) -> None:
+        """Fit the expected-utility curves at time index s and its step policy.
 
         The counterfactual rollout forces each grid allocation at s and then
-        follows the current fitted policies at the counterfactual states, so
-        the regression responses value each choice under state-feedback
+        follows the step policies fitted above s at the counterfactual states,
+        so the regression responses value each choice under state-feedback
         control rather than under the scenario's incumbent decision sequence.
+        The regressor is ``z[s]``, which only decisions before s move.
         """
         zk = self.z[s][None, :] * self.factors[s]
         for t in range(s + 1, self.nd):
             zk *= self._flat_factors[t].take(self._env[t].flat_index(zk, self._paths))
-        u = utility_check(zk, self.cfg)
-        if not self._design_valid[s]:
-            zs = self.z[s]
-            lo, hi = float(zs.min()), float(zs.max())
-            nodes = np.linspace(lo, hi, self.cfg.curve_points) if lo < hi else np.array([lo])
-            self._design[s] = _loess_geometry(zs, nodes, self.cfg.loess_d, self.cfg.loess_degree)
-            self.z_nodes[s] = nodes
-            self._design_valid[s] = True
-        self.curves[s] = _loess_apply(self._design[s], u)
-        self._env[s] = _StepPolicy(*_envelope(self.z_nodes[s], self.curves[s]), self.n)
-        new = self._env[s].choose(self.z[s])
-        changed = np.flatnonzero(new != self.decisions[s])
-        if changed.size:
-            self.decisions[s] = new
-            self._design_valid[s + 1 :] = False
-            self._propagate(s, changed)
+        cfg, zs = self.cfg, self.z[s]
+        u = utility_check(zk, cfg)
+        lo, hi = float(zs.min()), float(zs.max())
+        nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
+        self.z_nodes[s] = nodes
+        self.curves[s] = _loess_apply(_loess_geometry(zs, nodes, cfg.loess_d, cfg.loess_degree), u)
+        self._env[s] = _StepPolicy(*_envelope(nodes, self.curves[s]), self.n)
 
     def solve(self) -> None:
-        last = self.nd - 1
-        self._refresh(last)
-        for _ in range(self.cfg.iterations):
-            for i in range(self.nd - 2, -1, -1):
-                # the walk before this one ended on `last`: refreshing it again would change nothing
-                for tb in range(last - 1, i, -1):
-                    self._refresh(tb)
-                self._refresh(i)
-                for tf in range(i + 1, last + 1):
-                    self._refresh(tf)
-            self.trace.append(float(utility_check(self.z[self.nd], self.cfg).mean()))
+        """One initial sweep, then ``cfg.iterations`` traced ones."""
+        for sweep in range(self.cfg.iterations + 1):
+            for s in range(self.nd - 1, -1, -1):
+                self._fit(s)
+            self._forward()
+            if sweep:
+                self.trace.append(float(utility_check(self.z[self.nd], self.cfg).mean()))
 
 
 def _solve_steps(shared: tuple, tau: int) -> list:
@@ -427,23 +399,18 @@ def solve_policy(
     tau: int = 0,
     factors: np.ndarray | None = None,
 ) -> PolicyModel:
-    """Solve the snake-pattern program for the tranche born in year ``tau``."""
+    """Solve the program for the tranche born in year ``tau`` by backward
+    induction with forward re-simulation."""
     T = inputs.T
     if not 0 <= tau <= T - 1:
         raise ParameterError(f"tranche birth year {tau} leaves no decision before T={T}")
     if factors is None:
         factors = _step_factors(inputs, frame, cfg)
-    solver = _SnakeSolver(frame.z0(tau), factors[tau + 1 : T + 1], cfg)
+    solver = _Solver(frame.z0(tau), factors[tau + 1 : T + 1], cfg)
     solver.solve()
     return PolicyModel(
-        cfg=cfg,
-        times=np.arange(tau, T),
-        z_nodes=solver.z_nodes,
-        curves=solver.curves,
-        decisions=solver.decisions,
-        z_path=solver.z,
-        steps=solver._env,
-        utility_trace=solver.trace,
+        cfg=cfg, times=np.arange(tau, T), z_nodes=solver.z_nodes, curves=solver.curves,
+        decisions=solver.decisions, z_path=solver.z, steps=solver._env, utility_trace=solver.trace,
     )
 
 

@@ -12,6 +12,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from pensionsim import (
     LoessModel,
@@ -27,7 +28,7 @@ from pensionsim import (
     z_step,
 )
 from pensionsim.career import contribution_path, default_schedule
-from pensionsim.dp import DpConfig, solve_policy
+from pensionsim.dp import DpConfig, _step_factors, solve_policy
 from pensionsim.metrics import (
     ReplacementEstimators,
     frontier,
@@ -222,10 +223,16 @@ def test_08_target_replacement_level_is_stable_within_paths(default_inputs):
     assert float(np.mean(spread <= 0.02)) >= 0.95
 
 
-def test_09_solver_trace_improves_at_full_scale(default_inputs):
+@pytest.fixture(scope="module")
+def full_scale_policy(default_inputs):
+    """The tau = 0 policy of the default set at r = 0.02, and its parameters."""
     params = TargetParams(r=0.02, target_rr=0.70, T=default_inputs.T)
     frame = TargetFrame.build(default_inputs, params)
-    policy = solve_policy(default_inputs, frame, DpConfig(), tau=0)
+    return solve_policy(default_inputs, frame, DpConfig(), tau=0), params
+
+
+def test_09_solver_trace_improves_at_full_scale(full_scale_policy):
+    policy, _ = full_scale_policy
     trace = policy.utility_trace
     assert len(trace) == 2
     assert trace[1] >= trace[0] - 1e-6
@@ -246,3 +253,21 @@ def test_10_report_is_reproducible_and_thread_independent(tmp_path):
         outputs.append((out_dir / "report.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0] == outputs[2]
+
+
+def test_11_policy_beats_every_constant_allocation_out_of_sample(full_scale_policy):
+    # replayed on paths it was not fitted on, as CombinationStrategy applies it
+    policy, params = full_scale_policy
+    inputs = SimulationInputs.prepare(simulate(ModelParams(), 2000, 41, seed=43))
+    frame = TargetFrame.build(inputs, params)
+    factors = _step_factors(inputs, frame, policy.cfg)
+    paths = np.arange(inputs.n_paths)
+    z = frame.z0(0)
+    for t in range(inputs.T):
+        z = z * factors[t + 1][policy.choice_at(t, z), paths]
+    constant = [
+        frame.z0(0) * np.prod(factors[1 : inputs.T + 1, k], axis=0)
+        for k in range(len(policy.grid))
+    ]
+    got = float(utility_check(z, policy.cfg).mean())
+    assert got > max(float(utility_check(zc, policy.cfg).mean()) for zc in constant)

@@ -232,6 +232,23 @@ def test_bad_target_parameters_rejected_at_parse_time(tmp_path, capsys, text, ma
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "strategy.r", "report.cumulative_r", "report.individual_r", "report.combination_r",
+        "evaluation.estimation_r", "frontier.r_min", "frontier.r_max",
+    ],
+)
+def test_bad_required_return_names_its_key(tmp_path, capsys, key):
+    # a frontier.r_max of -3 already fails against frontier.r_min, which the
+    # message names too
+    path = write_config(tmp_path, SMALL + f"{key} = -3\n")
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        cli.parse_config(path)
+    assert cli.main(["report", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--seed", "-5"], ["--threads", "-3"]])
 def test_negative_seed_or_threads_override_exits_1(tmp_path, capsys, flag):
     out = tmp_path / "o"

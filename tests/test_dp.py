@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,14 @@ from conftest import (
 )
 from pensionsim import (
     CombinationStrategy,
+    CumulativeTargetStrategy,
     DpConfig,
+    GlidePath,
+    IndividualTargetStrategy,
+    ModelParams,
     PolicyModel,
     SimulationInputs,
+    StaticMixStrategy,
     TargetFrame,
     TargetParams,
     export_policy_csv,
@@ -33,7 +39,7 @@ from pensionsim import (
     z_step,
 )
 from pensionsim import cli, dp
-from pensionsim.dp import _envelope, _SnakeSolver, _StepPolicy
+from pensionsim.dp import _envelope, _Solver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.lsmc import _loess_geometry
 from pensionsim.market import AnnuitySpec
@@ -186,66 +192,75 @@ def test_solver_is_deterministic(small_inputs):
         assert np.array_equal(a, b)
 
 
-class _FullRecomputeCheck(_SnakeSolver):
-    """Solver that compares its ratios with a full rollout after every refresh,
-    and every design marked valid with a fresh one before it."""
+class _FullRolloutCheck(_Solver):
+    """Solver that checks every forward pass: each fit since the last one
+    used a LOESS design equal to a fresh one on the ratios that pass left,
+    and afterwards the ratios equal a full rollout of the decisions from z0.
 
-    refreshes = 0
-    partial = 0
-    designs = 0
+    ``built`` collects ``(x, nodes, design)`` of every ``_loess_geometry``
+    call, the regressor copied as the fit saw it.
+    """
 
-    def _refresh(self, s):
+    built: list = []
+    passes = 0
+
+    def _forward(self):
         cfg = self.cfg
-        for t in np.flatnonzero(self._design_valid):
-            zs = self.z[t]
-            lo, hi = zs.min(), zs.max()
-            nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
-            want = _loess_geometry(zs, nodes, cfg.loess_d, cfg.loess_degree)
-            assert np.array_equal(self.z_nodes[t], nodes)
+        # none before the start's pass, then one per step, last step first
+        assert len(self.built) == (self.nd if _FullRolloutCheck.passes else 0)
+        for s, (x, nodes, design) in zip(range(self.nd - 1, -1, -1), self.built):
+            assert np.array_equal(x, self.z[s])
+            lo, hi = x.min(), x.max()
+            want_nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
+            want = _loess_geometry(x, want_nodes, cfg.loess_d, cfg.loess_degree)
+            assert np.array_equal(nodes, want_nodes)
             for name in ("order", "lo", "ws"):
-                assert np.array_equal(getattr(self._design[t], name), getattr(want, name))
-            _FullRecomputeCheck.designs += 1
-        before = self.decisions[s].copy()
-        super()._refresh(s)
+                assert np.array_equal(getattr(design, name), getattr(want, name))
+        self.built.clear()
+        super()._forward()
         full = np.empty_like(self.z)
         full[0] = self.z[0]
         for t in range(self.nd):
             full[t + 1] = full[t] * self.factors[t][self.decisions[t], self._paths]
         assert np.array_equal(self.z, full)
-        changed = np.count_nonzero(self.decisions[s] != before)
-        _FullRecomputeCheck.refreshes += 1
-        _FullRecomputeCheck.partial += 0 < changed < self.n
+        _FullRolloutCheck.passes += 1
 
 
 def test_changed_path_propagation_matches_full_rollout(small_inputs, monkeypatch):
+    # a fit's regressor is untouched by its sweep, and each forward pass
+    # leaves the full rollout of the decisions
     frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
     want = solve_policy(small_inputs, frame, tau=0)
-    monkeypatch.setattr(dp, "_SnakeSolver", _FullRecomputeCheck)
-    monkeypatch.setattr(_FullRecomputeCheck, "refreshes", 0)
-    monkeypatch.setattr(_FullRecomputeCheck, "partial", 0)
-    monkeypatch.setattr(_FullRecomputeCheck, "designs", 0)
+
+    def recorded(x, nodes, d, degree):
+        design = _loess_geometry(x, nodes, d, degree)
+        _FullRolloutCheck.built.append((x.copy(), nodes, design))
+        return design
+
+    monkeypatch.setattr(dp, "_loess_geometry", recorded)
+    monkeypatch.setattr(dp, "_Solver", _FullRolloutCheck)
+    monkeypatch.setattr(_FullRolloutCheck, "built", [])
+    monkeypatch.setattr(_FullRolloutCheck, "passes", 0)
     got = solve_policy(small_inputs, frame, tau=0)
-    # the check ran, and on refreshes that moved only some paths' decisions
-    assert _FullRecomputeCheck.refreshes > 0
-    assert _FullRecomputeCheck.partial > 0
-    assert _FullRecomputeCheck.designs > 0
+    # the start's pass and one per sweep
+    assert _FullRolloutCheck.passes == DpConfig().iterations + 2
     assert np.array_equal(got.decisions, want.decisions)
     assert np.array_equal(got.z_path, want.z_path)
 
 
-class _CountingSolver(_SnakeSolver):
-    """Solver that records the step of every refresh it issues."""
+class _CountingSolver(_Solver):
+    """Solver that records the step of every fit it makes."""
 
     def __init__(self, *args):
-        self.refreshed = []
+        self.fitted = []
         super().__init__(*args)
 
-    def _refresh(self, s):
-        self.refreshed.append(s)
-        super()._refresh(s)
+    def _fit(self, s):
+        self.fitted.append(s)
+        super()._fit(s)
 
 
-def _tranche_solver(inputs, cfg, tau, solver=_SnakeSolver):
+def _tranche_solver(inputs, cfg, tau, solver=_Solver):
     frame = TargetFrame.build(inputs, _params(inputs.T))
     factors = dp._step_factors(inputs, frame, cfg)
     return solver(frame.z0(tau), factors[tau + 1 : inputs.T + 1], cfg)
@@ -254,36 +269,18 @@ def _tranche_solver(inputs, cfg, tau, solver=_SnakeSolver):
 @pytest.mark.parametrize("iterations", [1, 2])
 @pytest.mark.parametrize("nd", [1, 2, 6])
 def test_snake_issues_each_refresh_once(small_inputs, nd, iterations):
+    # one initial sweep and `iterations` traced ones, each fitting every
+    # step once, last step first
     solver = _tranche_solver(
         small_inputs, DpConfig(iterations=iterations), small_inputs.T - nd, _CountingSolver
     )
     solver.solve()
-    steps = solver.refreshed
-    assert len(steps) == 1 + iterations * nd * (nd - 1)
-    assert all(a != b for a, b in zip(steps, steps[1:]))
+    assert solver.fitted == list(range(nd - 1, -1, -1)) * (iterations + 1)
     assert len(solver.trace) == iterations
-
-
-def test_refreshing_the_last_step_again_changes_nothing(small_inputs):
-    # the turn the snake no longer issues: the last step refreshed right
-    # after itself reads the same inputs and decides the same way
-    solver = _tranche_solver(small_inputs, DpConfig(), 0)
-    solver.solve()
-    decisions, z, curves = solver.decisions.copy(), solver.z.copy(), list(solver.curves)
-    steps = list(solver._env)
-    solver._refresh(solver.nd - 1)
-    assert np.array_equal(solver.decisions, decisions)
-    assert np.array_equal(solver.z, z)
-    for a, b in zip(solver.curves, curves):
-        assert np.array_equal(a, b)
-    for a, b in zip(solver._env, steps):
-        assert np.array_equal(a.breaks, b.breaks) and np.array_equal(a.regions, b.regions)
 
 
 def test_decisions_match_einsum_loess_reference(monkeypatch):
     # the batched-matmul apply moves only the last bits of the fitted curves
-    from pensionsim import ModelParams
-
     scenarios = simulate(ModelParams(), 400, 8, seed=23)
     inputs = SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=8, N=20))
     frame = TargetFrame.build(inputs, _params(inputs.T, r=0.01))
@@ -316,7 +313,7 @@ def test_solver_keeps_the_factor_slice_it_is_given(small_inputs):
     frame = TargetFrame.build(small_inputs, _params(T))
     factors = dp._step_factors(small_inputs, frame, DpConfig())
     tranche = factors[3 : T + 1]
-    solver = _SnakeSolver(frame.z0(2), tranche, DpConfig())
+    solver = _Solver(frame.z0(2), tranche, DpConfig())
     assert solver.factors is tranche
     assert np.shares_memory(solver._flat_factors, tranche)
 
@@ -457,7 +454,8 @@ def test_envelope_matches_reference_in_a_solve(small_inputs, monkeypatch):
         return _envelope(nodes, curves)
 
     monkeypatch.setattr(dp, "_envelope", checked)
-    solve_policy(small_inputs, TargetFrame.build(small_inputs, _params(small_inputs.T)), tau=0)
+    # every tranche solve, in this process
+    CombinationStrategy(_params(small_inputs.T), threads=1).run(small_inputs)
     assert len(calls) > 100
 
 
@@ -549,8 +547,6 @@ def test_decision_table_is_the_argmax_of_the_curves_at_the_nodes(small_inputs):
 
 @pytest.fixture(scope="module")
 def tiny_inputs():
-    from pensionsim import ModelParams
-
     scenarios = simulate(ModelParams(), 60, 8, seed=19)
     return SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=8, N=20))
 
@@ -629,6 +625,32 @@ def test_combination_run_equals_dense_reference(small_inputs, mode):
     assert_same_run(outcome, reference)
 
 
+def test_permuting_paths_permutes_every_strategy():
+    # paths are exchangeable: no LOESS window, envelope tie or sort may
+    # depend on their order
+    scenarios = simulate(ModelParams(), 400, 16, seed=11)
+    perm = np.random.default_rng(0).permutation(scenarios.n_paths)
+    permuted = replace(scenarios, **{k: getattr(scenarios, k)[perm] for k in ("x", "pi", "w", "curves")})
+    worlds = [SimulationInputs.prepare(s, annuity=AnnuitySpec(T=16, N=20)) for s in (scenarios, permuted)]
+    params = _params(16)
+    strategies = [
+        CombinationStrategy(params),
+        CombinationStrategy(params, mode="shared"),
+        StaticMixStrategy(0.4),
+        StaticMixStrategy(GlidePath.bogle(ages=worlds[0].schedule.ages)),
+        CumulativeTargetStrategy(params),
+        IndividualTargetStrategy(params),
+    ]
+    for strategy in strategies:
+        a, b = (strategy.run(inputs) for inputs in worlds)
+        # grid decisions match exactly; wealth and the pot's mix rest on the
+        # cross-sectional inflation fit, whose sums run in path order
+        if a.tranche_alpha is not None:
+            assert np.array_equal(a.tranche_alpha[perm], b.tranche_alpha, equal_nan=True)
+        np.testing.assert_allclose(b.alpha, a.alpha[perm], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(b.terminal_wealth, a.terminal_wealth[perm], rtol=1e-12, atol=0.0)
+
+
 def test_combination_rejects_unknown_mode():
     with pytest.raises(ParameterError):
         CombinationStrategy(_params(8), mode="global")
@@ -650,19 +672,19 @@ def test_worker_tranches_equal_direct_solves(request, world, threads):
 
 
 def _fail_solves(monkeypatch, T, which):
-    """Make ``_SnakeSolver.solve`` raise a DomainError for some birth years.
+    """Make ``_Solver.solve`` raise a DomainError for some birth years.
 
     A solver for the tranche born at tau has T - tau decision times.  Forked
     workers inherit the patch.
     """
-    solve = _SnakeSolver.solve
+    solve = _Solver.solve
 
     def failing(self):
         if which(T - self.nd):
             raise DomainError(f"injected failure at tau={T - self.nd}")
         solve(self)
 
-    monkeypatch.setattr(dp._SnakeSolver, "solve", failing)
+    monkeypatch.setattr(dp._Solver, "solve", failing)
 
 
 @pytest.mark.parametrize("which", [lambda tau: tau >= 1, lambda tau: tau == 0],
