@@ -8,11 +8,11 @@ runs regression-based backward induction with forward re-simulation
 every path all in equity.  A sweep fits the decision times last first: each
 fit forces every grid allocation at its step, follows the step policies
 fitted above it to T, and estimates expected terminal utility given Z by
-regressing the realized utilities on Z with the design/apply LOESS of
-:mod:`pensionsim.lsmc`, one batched matmul fitting every allocation's curve
-on ``curve_points`` evenly spaced nodes.  Then one forward pass re-decides
-every step from its step policy and rolls the ratios on.  One initial sweep
-is followed by ``iterations`` traced ones.
+regressing the realized utilities on Z with the LOESS of :mod:`pensionsim.lsmc`
+on ``curve_points`` evenly spaced nodes: its design fixes each node's fit as a
+coefficient row, and one apply fits every allocation's curve.  Then one
+forward pass re-decides every step from its step policy and rolls the ratios
+on.  One initial sweep is followed by ``iterations`` traced ones.
 
 Terminal utility rewards ending between the configured ratio bounds:
 

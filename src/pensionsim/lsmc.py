@@ -9,13 +9,15 @@ nested simulation:
 * :class:`LoessModel` / :func:`loess_eval` — local weighted polynomial
   regression with tri-cube weights over the ``k = ceil(d*n)`` nearest
   neighbours of the query point.  The fit is split into a design step
-  (``_loess_geometry``: sort, windows, weights and moment sums for given
-  training abscissae and query points) and an apply step (``_loess_apply``:
-  a batch of response rows on that design, each window read as one
-  contiguous block of the responses sorted path-major and every window's
-  moment sums taken by one batched matmul).  This is the package's only
-  LOESS; the dynamic-programming solver fits its expected-utility curves
-  with the same two steps.
+  (``_loess_geometry``: for given training abscissae and query points, the
+  sort, windows and weights, and each query's fit rule, nearest value,
+  mean, line or quadratic, settled as one coefficient row) and an apply
+  step (``_loess_apply``: a batch of response rows on that design, each
+  window read as one contiguous block of the responses sorted path-major,
+  every window's moment sums taken by one batched matmul and contracted
+  with its query's coefficient row).  This is the package's only LOESS;
+  the dynamic-programming solver fits its expected-utility curves with the
+  same two steps.
 * :class:`InflationEstimator` — the per-(path, year) table of expected
   annual inflation, one cumulative-inflation cross-sectional line fit per
   observation year.
@@ -107,12 +109,10 @@ def _window_size(d: float, n: int) -> int:
 
 @dataclass
 class _LoessDesign:
-    """Design-side factors of a LOESS fit: everything that depends only on
-    the training abscissae and the query points.
-
-    Splitting these from the response-side sums lets a caller re-fit the same
-    design against fresh responses without redoing the sort, window search,
-    tri-cube weights and normal-equation coefficients.
+    """A LOESS design: everything a fit needs that depends only on the
+    training abscissae and the query points, its fit rule included, so a
+    batch of response rows is fitted without redoing the sort, window
+    search, tri-cube weights and normal-equation coefficients per row.
 
     The neighbours of query i are the ``win`` training points
     ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae (ties in
@@ -120,7 +120,11 @@ class _LoessDesign:
     so the apply step sorts the responses once and reads each window as a
     slice.  ``ws[i, j]`` holds the weight of window point j and that weight
     times its centred abscissa (and times its square at degree 2): the
-    columns of one (window, moment) matrix per query.
+    columns of one (window, moment) matrix per query.  ``coef[i]`` is the
+    first row of the inverse of query i's local normal equations for the
+    fit it takes, so its fitted value is ``coef[i]`` dotted with its
+    response moment sums.  ``mean_only`` marks a sample with one distinct
+    abscissa, where every fit is the mean and nothing else is built.
     """
 
     n_queries: int
@@ -129,18 +133,7 @@ class _LoessDesign:
     lo: np.ndarray | None = None
     win: int = 0
     ws: np.ndarray | None = None
-    nearest: np.ndarray | None = None
-    s0: np.ndarray | None = None
-    s1: np.ndarray | None = None
-    s2: np.ndarray | None = None
-    s3: np.ndarray | None = None
-    s4: np.ndarray | None = None
-    ok1: np.ndarray | None = None
-    ok2: np.ndarray | None = None
-    det1: np.ndarray | None = None
-    det2: np.ndarray | None = None
-    c22: np.ndarray | None = None
-    none_mask: np.ndarray | None = None
+    coef: np.ndarray | None = None
 
 
 def _windows(rows: np.ndarray, win: int) -> np.ndarray:
@@ -152,15 +145,17 @@ def _windows(rows: np.ndarray, win: int) -> np.ndarray:
 
 
 def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -> _LoessDesign:
-    """Sort, windows, tri-cube weights and moment sums of a LOESS design.
+    """Sort, windows, tri-cube weights and fit rule of a LOESS design.
 
     ``x`` holds the n training abscissae and ``queries`` the points the fit
     is evaluated at; ``d`` and ``degree`` are as in :class:`LoessModel`.
+    Each query takes the local quadratic (degree 2) or line where its
+    support and local design allow it, and the weighted mean otherwise.
     """
     n = x.shape[0]
     # ties are ordered as a stable sort orders them, since the windows and
-    # the nearest-value fallback read that order; without ties every sort
-    # gives the one sorting permutation, and the default sort is faster
+    # the nearest-value fit read that order; without ties every sort gives
+    # the one sorting permutation, and the default sort is faster
     order = np.argsort(x)
     xs = x.take(order)
     if n < 2 or xs[0] == xs[-1]:
@@ -170,16 +165,14 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         order = np.argsort(x, kind="stable")
         xs = x.take(order)
 
-    k = _window_size(d, n)
-    if k < n:
+    win = _window_size(d, n)
+    if win < n:
         # window-start boundaries: a query above (xs[s] + xs[s+k])/2 shifts
         # the k-nearest window from start s to s+1
-        mids = (xs[: n - k] + xs[k:]) / 2.0
+        mids = (xs[: n - win] + xs[win:]) / 2.0
         lo = np.searchsorted(mids, queries, side="left")
-        win = k
     else:
         lo = np.zeros(queries.shape, dtype=int)
-        win = n
     xc = _windows(xs, win)[lo]
     xc -= queries[:, None]
     # u = dist / dk lies in [0, 1].  Where the k nearest points all coincide
@@ -193,30 +186,22 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     npos = np.count_nonzero(u < 1.0, axis=1)
     ws = np.empty(xc.shape + (degree + 1,))
     w = _tricube(u, out=ws[..., 0])
+    # no support (every neighbour exactly at the cutoff distance): one-hot
+    # weights on the sorted window's first point, the nearest x (the lowest
+    # on ties), give s0 = 1, so the mean's coefficient row copies its value
+    w[npos == 0, 0] = 1.0
     wx = np.multiply(w, xc, out=ws[..., 1])
     s0 = w.sum(axis=1)
     s1 = wx.sum(axis=1)
     # u is free now: the higher moments are summed in its buffer
     s2 = np.multiply(wx, xc, out=u).sum(axis=1)
 
-    none_mask = npos == 0
-    want1 = npos >= 2  # at least degree-1 worth of support
+    # the mean, or the line where its support and local design allow it
+    coef = np.zeros((queries.shape[0], degree + 1))
+    np.divide(1.0, s0, out=coef[:, 0])
     det1 = s0 * s2 - s1 * s1
-    design = _LoessDesign(
-        n_queries=queries.shape[0],
-        order=order,
-        lo=lo,
-        win=win,
-        ws=ws,
-        s0=s0,
-        s1=s1,
-        s2=s2,
-        ok1=want1 & (det1 > 1e-12 * s0 * s2),
-        det1=det1,
-        none_mask=none_mask,
-    )
-    if np.any(none_mask):
-        design.nearest = np.argmin(np.abs(xc), axis=1)
+    ok1 = (npos >= 2) & (det1 > 1e-12 * s0 * s2)
+    np.divide((s2, -s1), det1, out=coef[:, :2].T, where=ok1)
 
     if degree == 2:
         ws[..., 2] = u
@@ -224,16 +209,13 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         s3 = u.sum(axis=1)
         u *= xc
         s4 = u.sum(axis=1)
-        want2 = npos >= 3
         c22 = s2 * s4 - s3 * s3
         c12 = s1 * s4 - s2 * s3
         c11 = s1 * s3 - s2 * s2
         det2 = s0 * c22 - s1 * c12 + s2 * c11
-        design.s3, design.s4 = s3, s4
-        design.ok2 = want2 & (det2 > 1e-10 * s0 * s2 * s4)
-        design.det2 = det2
-        design.c22 = c22
-    return design
+        ok2 = (npos >= 3) & (det2 > 1e-10 * s0 * s2 * s4)
+        np.divide((c22, -c12, c11), det2, out=coef.T, where=ok2)
+    return _LoessDesign(queries.shape[0], False, order, lo, win, ws, coef)
 
 
 def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
@@ -247,28 +229,11 @@ def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
     # responses sorted path-major make each query's window one contiguous
     # (window, response) block; its transpose, a layout BLAS reads as is,
     # times the query's (window, moment) weights, one batched matmul, gives
-    # every moment sum t[i, r, j] of every response row r at every query i
+    # every moment sum t[i, r, j] of every response row r at every query i;
+    # each query's coefficients turn its sums into its fitted value
     yw = _windows(responses.T.take(design.order, axis=0), design.win)[design.lo]
     t = np.matmul(yw.transpose(0, 2, 1), design.ws)
-    t0, t1 = t[..., 0].T, t[..., 1].T
-
-    # a query without support or with a singular local design divides by
-    # zero here; the fit it falls back to replaces that value
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fits = np.where(design.ok1, (design.s2 * t0 - design.s1 * t1) / design.det1, t0 / design.s0)
-        if design.ok2 is not None:
-            t2 = t[..., 2].T
-            s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
-            num = t0 * design.c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
-            fits = np.where(design.ok2, num / design.det2, fits)
-
-    if np.any(design.none_mask):
-        # all tri-cube weights vanished (every neighbour sits exactly at the
-        # cutoff distance): fall back to the nearest training value, lowest
-        # x first on ties
-        for i in np.nonzero(design.none_mask)[0]:
-            fits[:, i] = yw[i, design.nearest[i]]
-    return fits
+    return np.einsum("irj,ij->ri", t, design.coef)
 
 
 class LoessModel:

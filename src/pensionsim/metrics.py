@@ -33,9 +33,9 @@ from .strategies import (
     CumulativeTargetStrategy,
     IndividualTargetStrategy,
     StaticMixStrategy,
-    TargetFrame,
     TargetParams,
     _compounded,
+    _target_growth_base,
 )
 
 __all__ = [
@@ -128,7 +128,7 @@ class ReplacementEstimators:
     """
 
     def __init__(self, inputs: SimulationInputs, params: TargetParams):
-        TargetFrame.build(inputs, params)  # checks the horizon, 1 + r + pi and 1 + r + I_t
+        _target_growth_base(inputs, params)  # checks the horizon, 1 + r + pi and 1 + r + I_t
         self.inputs = inputs
         self.params = params
 

@@ -129,6 +129,19 @@ def static_step(mix_or_glide, age: int) -> float:
     return mix
 
 
+def _target_growth_base(inputs: SimulationInputs, params: TargetParams) -> np.ndarray:
+    """1 + r + I_t over years 0..T, once the horizon is checked against the
+    prepared inputs and 1 + r + pi and 1 + r + I_t to stay positive."""
+    if params.T != inputs.T:
+        raise ParameterError(f"params.T={params.T} does not match prepared horizon {inputs.T}")
+    if np.any(1.0 + params.r + inputs.scenarios.pi[:, 1 : params.T + 1] <= 0.0):
+        raise DomainError("1 + r + realized inflation must stay positive")
+    base = 1.0 + params.r + inputs.inflation.rates[:, : params.T + 1]
+    if np.any(base <= 0.0):
+        raise DomainError("1 + r + expected inflation must stay positive")
+    return base
+
+
 @dataclass
 class TargetFrame:
     """All target-wealth panels for one scenario set and one ``TargetParams``.
@@ -153,18 +166,8 @@ class TargetFrame:
 
     @classmethod
     def build(cls, inputs: SimulationInputs, params: TargetParams) -> "TargetFrame":
-        if params.T != inputs.T:
-            raise ParameterError(
-                f"params.T={params.T} does not match prepared horizon {inputs.T}"
-            )
-        T = params.T
-        pi = inputs.scenarios.pi[:, : T + 1]
-        if np.any(1.0 + params.r + pi[:, 1:] <= 0.0):
-            raise DomainError("1 + r + realized inflation must stay positive")
-        base = 1.0 + params.r + inputs.inflation.rates[:, : T + 1]
-        if np.any(base <= 0.0):
-            raise DomainError("1 + r + expected inflation must stay positive")
-        growth_exp = base ** np.arange(T, -1, -1)
+        growth_exp = _target_growth_base(inputs, params) ** np.arange(params.T, -1, -1)
+        pi = inputs.scenarios.pi[:, : params.T + 1]
         return cls(params, params.m_tilde, inputs.market.M, growth_exp, pi, inputs.contributions)
 
     @cached_property

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from pensionsim import ModelParams, SimulationInputs, simulate, z_step
 from pensionsim.errors import DomainError, ParameterError
+from pensionsim.lsmc import _loess_geometry
 from pensionsim.market import AnnuitySpec
 
 
@@ -163,40 +163,48 @@ def assert_same_run(outcome, reference):
     assert np.array_equal(outcome.tranche_alpha, panel, equal_nan=True)
 
 
-def einsum_loess_apply(design, responses):
-    """Reference LOESS apply step: one einsum per weight column.
+def einsum_loess(x, queries, d, degree, responses):
+    """Reference LOESS in moment form: ``(fits, none)``, the fits of every
+    response row at every query and the mask of queries without support.
 
-    Sums each window term by term over the (response, query, window)
-    gather, where the package's apply hands the windows to one batched
-    matmul.  Takes the same design and returns the same fits up to rounding.
+    Takes each query's window from the package's design (``order``, ``lo``,
+    ``win``) and recomputes the rest itself: tri-cube weights, moment sums
+    term by term with einsum, the local determinants and each query's
+    choice of nearest value, mean, line or quadratic.  Returns the package's
+    fits up to rounding, and its copied nearest values exactly.
     """
+    design = _loess_geometry(x, queries, d, degree)
+    m = queries.shape[0]
     if design.mean_only:
-        return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
-    yw = sliding_window_view(responses[:, design.order], design.win, axis=1)[:, design.lo]
-    t0 = np.einsum("mw,kmw->km", design.ws[..., 0], yw)
-    t1 = np.einsum("mw,kmw->km", design.ws[..., 1], yw)
+        return np.repeat(responses.mean(axis=1)[:, None], m, axis=1), np.zeros(m, dtype=bool)
+    idx = design.order[design.lo[:, None] + np.arange(design.win)]
+    xc = x[idx] - queries[:, None]
+    yw = responses[:, idx]
+    dist = np.abs(xc)
+    dk = dist.max(axis=1, keepdims=True)
+    u = np.divide(dist, dk, out=np.zeros_like(dist), where=dk > 0.0)
+    w = np.where(u < 1.0, (1.0 - u**3) ** 3, 0.0)
+    npos = np.count_nonzero(u < 1.0, axis=1)
+    s = [np.einsum("mw,mw->m", w, xc**p) for p in range(2 * degree + 1)]
+    t = [np.einsum("mw,kmw->km", w * xc**p, yw) for p in range(degree + 1)]
 
-    fits = np.empty((responses.shape[0], design.n_queries))
-    base, ok1 = ~design.none_mask, design.ok1
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_pred = np.where(base, t0 / np.where(base, design.s0, 1.0), 0.0)
-    fits[:, base] = mean_pred[:, base]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pred1 = (design.s2 * t0 - design.s1 * t1) / np.where(ok1, design.det1, 1.0)
-    fits[:, ok1] = pred1[:, ok1]
+        fits = t[0] / s[0]
+        det1 = s[0] * s[2] - s[1] * s[1]
+        ok1 = (npos >= 2) & (det1 > 1e-12 * s[0] * s[2])
+        fits = np.where(ok1, (s[2] * t[0] - s[1] * t[1]) / det1, fits)
+        if degree == 2:
+            c22 = s[2] * s[4] - s[3] * s[3]
+            c12 = s[1] * s[4] - s[2] * s[3]
+            c11 = s[1] * s[3] - s[2] * s[2]
+            det2 = s[0] * c22 - s[1] * c12 + s[2] * c11
+            ok2 = (npos >= 3) & (det2 > 1e-10 * s[0] * s[2] * s[4])
+            fits = np.where(ok2, (t[0] * c22 - t[1] * c12 + t[2] * c11) / det2, fits)
 
-    if design.ok2 is not None:
-        t2 = np.einsum("mw,kmw->km", design.ws[..., 2], yw)
-        s1, s2, s3, s4 = design.s1, design.s2, design.s3, design.s4
-        ok2 = design.ok2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            num = t0 * design.c22 - s1 * (t1 * s4 - s3 * t2) + s2 * (t1 * s3 - s2 * t2)
-            pred2 = num / np.where(ok2, design.det2, 1.0)
-        fits[:, ok2] = pred2[:, ok2]
-
-    for i in np.nonzero(design.none_mask)[0]:
-        fits[:, i] = yw[:, i, design.nearest[i]]
-    return fits
+    # no support: the value at the nearest x, the first (lowest x) on ties
+    none = npos == 0
+    nearest = np.take_along_axis(yw, dist.argmin(axis=1)[None, :, None], axis=2)[..., 0]
+    return np.where(none, nearest, fits), none
 
 
 def interp_choice(policy, t, z):

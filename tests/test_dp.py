@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_same_run,
     dense_tranche_run,
-    einsum_loess_apply,
+    einsum_loess,
     flat_params,
     interp_choice,
     interp_replay,
@@ -31,6 +31,7 @@ from pensionsim import (
     StaticMixStrategy,
     TargetFrame,
     TargetParams,
+    evaluate_strategy,
     export_policy_csv,
     ingest,
     simulate,
@@ -43,6 +44,7 @@ from pensionsim.dp import _envelope, _Solver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.lsmc import _loess_geometry
 from pensionsim.market import AnnuitySpec
+from pensionsim.metrics import REPORT_COLUMNS
 
 
 def _params(T, r=0.02):
@@ -214,7 +216,7 @@ class _FullRolloutCheck(_Solver):
             want_nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
             want = _loess_geometry(x, want_nodes, cfg.loess_d, cfg.loess_degree)
             assert np.array_equal(nodes, want_nodes)
-            for name in ("order", "lo", "ws"):
+            for name in ("order", "lo", "ws", "coef"):
                 assert np.array_equal(getattr(design, name), getattr(want, name))
         self.built.clear()
         super()._forward()
@@ -226,7 +228,7 @@ class _FullRolloutCheck(_Solver):
         _FullRolloutCheck.passes += 1
 
 
-def test_changed_path_propagation_matches_full_rollout(small_inputs, monkeypatch):
+def test_forward_pass_matches_full_rollout(small_inputs, monkeypatch):
     # a fit's regressor is untouched by its sweep, and each forward pass
     # leaves the full rollout of the decisions
     frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
@@ -268,7 +270,7 @@ def _tranche_solver(inputs, cfg, tau, solver=_Solver):
 
 @pytest.mark.parametrize("iterations", [1, 2])
 @pytest.mark.parametrize("nd", [1, 2, 6])
-def test_snake_issues_each_refresh_once(small_inputs, nd, iterations):
+def test_each_sweep_fits_every_step_once_last_first(small_inputs, nd, iterations):
     # one initial sweep and `iterations` traced ones, each fitting every
     # step once, last step first
     solver = _tranche_solver(
@@ -280,12 +282,15 @@ def test_snake_issues_each_refresh_once(small_inputs, nd, iterations):
 
 
 def test_decisions_match_einsum_loess_reference(monkeypatch):
-    # the batched-matmul apply moves only the last bits of the fitted curves
+    # the design's coefficient rows and the batched-matmul apply move only
+    # the last bits of the fitted curves; the reference's "design" is the
+    # arguments it rebuilds the fit from
     scenarios = simulate(ModelParams(), 400, 8, seed=23)
     inputs = SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=8, N=20))
     frame = TargetFrame.build(inputs, _params(inputs.T, r=0.01))
     got = solve_policy(inputs, frame, tau=0)
-    monkeypatch.setattr(dp, "_loess_apply", einsum_loess_apply)
+    monkeypatch.setattr(dp, "_loess_geometry", lambda *design: design)
+    monkeypatch.setattr(dp, "_loess_apply", lambda design, u: einsum_loess(*design, u)[0])
     want = solve_policy(inputs, frame, tau=0)
     assert np.array_equal(got.decisions, want.decisions)
     assert np.array_equal(got.z_path, want.z_path)
@@ -625,6 +630,41 @@ def test_combination_run_equals_dense_reference(small_inputs, mode):
     assert_same_run(outcome, reference)
 
 
+def _every_strategy(params, inputs):
+    """Both ``combination`` modes and the four rule strategies of the report."""
+    return [
+        CombinationStrategy(params),
+        CombinationStrategy(params, mode="shared"),
+        StaticMixStrategy(0.4),
+        StaticMixStrategy(GlidePath.bogle(ages=inputs.schedule.ages)),
+        CumulativeTargetStrategy(params),
+        IndividualTargetStrategy(params),
+    ]
+
+
+class _Ran:
+    """A strategy whose run hands back an outcome already computed, so that
+    ``evaluate_strategy`` reports it without running it again."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def run(self, inputs):
+        return self.outcome
+
+
+def _assert_same_report_row(inputs_a, a, inputs_b, b, params):
+    """The report rows of two outcomes agree statistic by statistic."""
+    row_a, row_b = (
+        evaluate_strategy(inputs, _Ran(outcome), params)
+        for inputs, outcome in ((inputs_a, a), (inputs_b, b))
+    )
+    for name in REPORT_COLUMNS[1:]:
+        np.testing.assert_allclose(
+            getattr(row_b, name), getattr(row_a, name), rtol=1e-12, atol=0.0, err_msg=name
+        )
+
+
 def test_permuting_paths_permutes_every_strategy():
     # paths are exchangeable: no LOESS window, envelope tie or sort may
     # depend on their order
@@ -633,15 +673,7 @@ def test_permuting_paths_permutes_every_strategy():
     permuted = replace(scenarios, **{k: getattr(scenarios, k)[perm] for k in ("x", "pi", "w", "curves")})
     worlds = [SimulationInputs.prepare(s, annuity=AnnuitySpec(T=16, N=20)) for s in (scenarios, permuted)]
     params = _params(16)
-    strategies = [
-        CombinationStrategy(params),
-        CombinationStrategy(params, mode="shared"),
-        StaticMixStrategy(0.4),
-        StaticMixStrategy(GlidePath.bogle(ages=worlds[0].schedule.ages)),
-        CumulativeTargetStrategy(params),
-        IndividualTargetStrategy(params),
-    ]
-    for strategy in strategies:
+    for strategy in _every_strategy(params, worlds[0]):
         a, b = (strategy.run(inputs) for inputs in worlds)
         # grid decisions match exactly; wealth and the pot's mix rest on the
         # cross-sectional inflation fit, whose sums run in path order
@@ -649,6 +681,45 @@ def test_permuting_paths_permutes_every_strategy():
             assert np.array_equal(a.tranche_alpha[perm], b.tranche_alpha, equal_nan=True)
         np.testing.assert_allclose(b.alpha, a.alpha[perm], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(b.terminal_wealth, a.terminal_wealth[perm], rtol=1e-12, atol=0.0)
+        # and the report's statistics do not see the order
+        _assert_same_report_row(worlds[0], a, worlds[1], b, params)
+
+
+def test_money_units_change_no_decision_and_no_report_statistic():
+    # salary and franchise in other units scale every contribution, wealth
+    # and target alike: the ratios the rules and the DP read do not move
+    scenarios = simulate(ModelParams(), 300, 12, seed=5)
+    annuity = AnnuitySpec(T=12, N=20)
+    inputs = SimulationInputs.prepare(scenarios, annuity=annuity)
+    scaled = replace(
+        inputs.schedule,
+        base_salary=inputs.schedule.base_salary * 7.0,
+        franchise=inputs.schedule.franchise * 7.0,
+    )
+    inputs7 = SimulationInputs.prepare(scenarios, schedule=scaled, annuity=annuity)
+    np.testing.assert_allclose(inputs7.contributions, 7.0 * inputs.contributions, rtol=1e-12)
+    params = _params(12)
+    for strategy in _every_strategy(params, inputs):
+        a, b = strategy.run(inputs), strategy.run(inputs7)
+        if isinstance(strategy, CombinationStrategy):
+            assert np.array_equal(a.tranche_alpha, b.tranche_alpha, equal_nan=True)
+        _assert_same_report_row(inputs, a, inputs7, b, params)
+
+
+def test_a_zero_volatility_world_gives_every_path_the_same_run(flat_inputs):
+    # every path is the mean path, so every panel is one path repeated and
+    # the DP, whose LOESS fits are all means, picks one allocation per step
+    params = _params(flat_inputs.T, r=0.0)
+    for strategy in _every_strategy(params, flat_inputs):
+        outcome = strategy.run(flat_inputs)
+        panels = [outcome.wealth, outcome.alpha, outcome.terminal_wealth]
+        if outcome.tranche_alpha is not None:
+            panels.append(outcome.tranche_alpha)
+        for panel in panels:
+            assert np.array_equal(panel, np.broadcast_to(panel[:1], panel.shape), equal_nan=True)
+    frame = TargetFrame.build(flat_inputs, params)
+    decisions = solve_policy(flat_inputs, frame, tau=0).decisions
+    assert np.array_equal(decisions, np.broadcast_to(decisions[:, :1], decisions.shape))
 
 
 def test_combination_rejects_unknown_mode():

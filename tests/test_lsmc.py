@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import einsum_loess_apply, flat_params
+from conftest import einsum_loess, flat_params
 from pensionsim import (
     InflationEstimator,
     LoessModel,
@@ -196,7 +196,8 @@ def test_loess_apply_rows_match_single_fits(d, degree):
     ys = rng.normal(size=(5, 40))
     q = np.array([-0.3, 0.0, 0.125, 0.4, 1.375, 1.5, 2.9, 3.2])
     design = _loess_geometry(x, q, d, degree)
-    assert design.none_mask.any() == (d < 1.0)
+    none = einsum_loess(x, q, d, degree, ys)[1]
+    assert none.any() == (d < 1.0)
     fits = _loess_apply(design, ys)
     for i, y in enumerate(ys):
         # a row's fit does not depend on the rows batched with it
@@ -205,7 +206,7 @@ def test_loess_apply_rows_match_single_fits(d, degree):
         # so the single fit agrees to rounding; copied values agree exactly
         single = loess_batch(LoessModel(x, y, d=d, degree=degree), q)
         np.testing.assert_allclose(single, fits[i], rtol=1e-12, atol=1e-12)
-        for j in np.flatnonzero(design.none_mask):
+        for j in np.flatnonzero(none):
             # the value of a point at the nearest x, the lower one on ties
             dist = np.abs(x - q[j])
             nearest = x == x[dist == dist.min()].min()
@@ -233,14 +234,14 @@ _TIED_Q = np.array([-0.3, 0.125, 1.375, 3.2])
 def test_loess_apply_matches_einsum_reference(x, q, d, degree):
     ys = np.random.default_rng(8).normal(-5.0, 1.0, size=(6, x.shape[0]))
     design = _loess_geometry(x, q, d, degree)
-    got, want = _loess_apply(design, ys), einsum_loess_apply(design, ys)
+    got, (want, none) = _loess_apply(design, ys), einsum_loess(x, q, d, degree, ys)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     if design.mean_only:
         assert np.array_equal(got, want)
     else:
         # copied nearest values agree exactly
-        assert np.array_equal(got[:, design.none_mask], want[:, design.none_mask])
-        assert design.none_mask.any() == (d < 1.0 and x.shape[0] == 40)
+        assert np.array_equal(got[:, none], want[:, none])
+        assert none.any() == (d < 1.0 and x.shape[0] == 40)
 
 
 def _duplicated_set():
@@ -260,8 +261,9 @@ def test_loess_design_orders_ties_as_a_stable_sort(x, d):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_loess_design_holds_no_more_than_its_weight_columns(degree):
-    # the design keeps one (query, window, moment) weight tensor; a stacked
-    # copy beside separate weight arrays would double what it holds
+    # the design keeps one (query, window, moment) weight tensor, its window
+    # starts and one coefficient row per query; moment sums, determinants
+    # or masks kept beside them would each add a per-query vector
     n, m = 2000, 101
     x = np.random.default_rng(4).lognormal(size=n)
     q = np.linspace(x.min(), x.max(), m)
@@ -275,7 +277,7 @@ def test_loess_design_holds_no_more_than_its_weight_columns(degree):
         tracemalloc.stop()
     assert design.win == 400
     columns = (degree + 1) * m * design.win * 8  # w, wx (and wx2) as float64
-    side = 8 * n + 32 * 8 * m  # the sort order and up to 32 per-query vectors
+    side = 8 * n + 8 * 8 * m  # the sort order and up to 8 per-query vectors
     assert held <= columns + side
 
 

@@ -123,6 +123,15 @@ def test_var_cvar_validation():
 # mid-career estimators
 # ---------------------------------------------------------------------------
 
+def test_estimators_build_no_target_frame(small_inputs, monkeypatch):
+    # they share the frame's input checks, not its (n, T + 1) panels
+    def build(*args):
+        raise AssertionError("TargetFrame.build called")
+
+    monkeypatch.setattr(TargetFrame, "build", build)
+    ReplacementEstimators(small_inputs, _params(small_inputs.T))
+
+
 def test_expected_rr_exact_at_retirement(small_inputs):
     est = ReplacementEstimators(small_inputs, _params(small_inputs.T))
     outcome = StaticMixStrategy(mix=0.5).run(small_inputs)

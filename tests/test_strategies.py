@@ -24,6 +24,7 @@ from pensionsim import (
     GlidePath,
     IndividualTargetStrategy,
     ModelParams,
+    ReplacementEstimators,
     SimulationInputs,
     StaticMixStrategy,
     TargetFrame,
@@ -232,8 +233,10 @@ def test_target_frame_z0_identity(small_inputs):
 
 
 def test_target_frame_horizon_mismatch(small_inputs):
-    with pytest.raises(ParameterError):
-        TargetFrame.build(small_inputs, _params(small_inputs.T + 1))
+    # the estimators run the frame's input checks
+    for build in (TargetFrame.build, ReplacementEstimators):
+        with pytest.raises(ParameterError, match="prepared horizon"):
+            build(small_inputs, _params(small_inputs.T + 1))
 
 
 def test_target_frame_requires_positive_growth(small_inputs):
@@ -248,13 +251,15 @@ def test_target_frame_checks_growth_in_build(small_inputs):
     realized = small_inputs.scenarios.pi[:, 1 : T + 1].min()
     expected = small_inputs.inflation.rates[:, : T + 1].min()
     assert realized < expected
-    with pytest.raises(DomainError, match="realized"):
-        TargetFrame.build(small_inputs, _params(T, r=-1.0 - (realized + expected) / 2))
     # lift realized inflation above every expected rate
     lifted = small_inputs.scenarios.pi + (expected - realized + 0.01)
     inputs = replace(small_inputs, scenarios=replace(small_inputs.scenarios, pi=lifted))
-    with pytest.raises(DomainError, match="expected"):
-        TargetFrame.build(inputs, _params(T, r=-1.0 - expected - 0.005))
+    # the estimators run the same checks
+    for build in (TargetFrame.build, ReplacementEstimators):
+        with pytest.raises(DomainError, match="realized"):
+            build(small_inputs, _params(T, r=-1.0 - (realized + expected) / 2))
+        with pytest.raises(DomainError, match="expected"):
+            build(inputs, _params(T, r=-1.0 - expected - 0.005))
 
 
 # ---------------------------------------------------------------------------
