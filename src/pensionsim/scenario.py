@@ -9,10 +9,14 @@ distribution matches them exactly, and year 0 is drawn from the stationary
 distribution itself.  Wage inflation is ``pi`` plus a constant spread, and the
 curve of annually compounded spot rates at integer pillar maturities m is
 
-    r^m = level + slope * ln(m / reference_maturity).
+    r^m = max(level + slope * ln(m / reference_maturity), floor).
 
 Each path draws from an independent RNG substream keyed by ``(seed, path)``,
 so a smaller run is a prefix of a larger one under the same seed.
+
+A simulated set keeps that curve as its two factors, an ingested one as the
+rate panel its CSV holds; ``ScenarioSet.rates`` reads either form and forms
+only the pillars it is asked for.
 """
 
 from __future__ import annotations
@@ -138,9 +142,14 @@ def _psd_factor(cov: np.ndarray, what: str) -> np.ndarray:
 class ScenarioSet:
     """Rectangular panel of economic states over (path, year).
 
-    Arrays are indexed ``[path, year]`` with years ``0..horizon`` inclusive;
-    ``curves`` is ``[path, year, pillar-1]`` for pillar maturities
-    ``1..n_pillars``.  Instances are treated as immutable after construction.
+    Arrays are indexed ``[path, year]`` with years ``0..horizon`` inclusive.
+    The yield curve at pillar maturities ``1..n_pillars`` takes one form: a
+    set from :func:`simulate` holds the VAR factors ``level`` and ``slope``
+    and the pillar ``loadings``, one from :func:`ingest` the ``panel``
+    ``[path, year, pillar-1]`` of its file's rates.  :meth:`rates` reads
+    either form; ``curves`` gives the whole panel, built anew on each read
+    of a simulated set.
+    Instances are treated as immutable after construction.
     """
 
     n_paths: int
@@ -148,31 +157,52 @@ class ScenarioSet:
     x: np.ndarray
     pi: np.ndarray
     w: np.ndarray
-    curves: np.ndarray
+    level: np.ndarray | None = None
+    slope: np.ndarray | None = None
+    loadings: np.ndarray | None = None
+    panel: np.ndarray | None = None
     wage_spread: float = 0.005
 
     def __post_init__(self) -> None:
         shape = (self.n_paths, self.horizon + 1)
-        for name in ("x", "pi", "w"):
+        held = tuple(k for k in ("level", "slope", "loadings", "panel") if getattr(self, k) is not None)
+        if held not in (("level", "slope", "loadings"), ("panel",)):
+            raise ShapeError(f"need either a rate panel or level, slope and loadings, got {held}")
+        factored = self.panel is None
+        for name in ("x", "pi", "w") + (("level", "slope") if factored else ()):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-        if self.curves.ndim != 3 or self.curves.shape[:2] != shape:
+        if factored and (self.loadings.ndim != 1 or self.loadings.size < 1):
+            raise ShapeError(f"loadings has shape {self.loadings.shape}, expected (n_pillars,)")
+        if not factored and (self.panel.ndim != 3 or self.panel.shape[:2] != shape):
             raise ShapeError(
-                f"curves has shape {self.curves.shape}, expected {shape} x n_pillars"
+                f"curves has shape {self.panel.shape}, expected {shape} x n_pillars"
             )
         if self.n_paths < 1 or self.horizon < 1:
             raise ShapeError("need n_paths >= 1 and horizon >= 1")
-        for name in ("x", "pi", "w", "curves"):
+        for name in ("x", "pi", "w") + held:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise ShapeError(f"{name} contains non-finite values")
+        if factored:
+            # a floored rate is monotone in the loading, so the pillars of the
+            # least and the greatest loading bound every rate of the curve
+            with np.errstate(over="ignore"):
+                edges = self._curve(np.s_[:], [self.loadings.argmin(), self.loadings.argmax()])
+            if not np.all(np.isfinite(edges)):
+                raise ShapeError("curves contains non-finite values")
         if np.any(self.x <= -1) or np.any(self.pi <= -1):
             raise ShapeError("growth factors 1+x and 1+pi must stay positive")
 
     @property
     def n_pillars(self) -> int:
-        return self.curves.shape[2]
+        return self.loadings.size if self.panel is None else self.panel.shape[2]
+
+    @property
+    def curves(self) -> np.ndarray:
+        """The whole ``[path, year, pillar-1]`` rate panel."""
+        return self._curve(np.s_[:])
 
     def rates(self, year: int, maturities) -> np.ndarray:
         """Spot rates taken into a new ``(n_paths, len(maturities))`` array, at
@@ -185,7 +215,18 @@ class ScenarioSet:
                 f"need a year in 0..{self.horizon} and whole maturities >= 1, got {year}, {q}"
             )
         pillars = np.minimum(q, self.n_pillars).astype(np.intp) - 1
-        return self.curves[:, year].take(pillars, axis=1)
+        return self._curve(np.s_[:, year], pillars)
+
+    def _curve(self, cells, pillars=np.s_[:]) -> np.ndarray:
+        """Rates at the ``(path, year)`` cells ``cells`` and the pillar
+        indices ``pillars``; the one reader that knows the set's form."""
+        if self.panel is not None:
+            return self.panel[cells][..., pillars]
+        # slope * loading, then + level, then the floor: the same steps in
+        # the same order for every rate, so each keeps its bits
+        r = self.slope[cells][..., None] * self.loadings[pillars]
+        r += self.level[cells][..., None]
+        return np.maximum(r, _GROWTH_FLOOR, out=r)
 
 
 def simulate(
@@ -228,19 +269,15 @@ def simulate(
     x = np.maximum(state[..., 0], _GROWTH_FLOOR)
     pi = np.maximum(state[..., 1], _GROWTH_FLOOR)
     w = pi + params.wage_spread
-    loadings = params.curve_loadings()
-    # level + slope * loadings, with one (paths, years, pillars) array, not two
-    curves = state[..., 3, None] * loadings
-    curves += state[..., 2, None]
-    np.maximum(curves, _GROWTH_FLOOR, out=curves)
-
     return ScenarioSet(
         n_paths=n_paths,
         horizon=horizon,
         x=x,
         pi=pi,
         w=w,
-        curves=curves,
+        level=state[..., 2].copy(),
+        slope=state[..., 3].copy(),
+        loadings=params.curve_loadings(),
         wage_spread=params.wage_spread,
     )
 
@@ -254,18 +291,23 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
+_EXPORT_BLOCK = 256  # paths per block of rows formed at once
+
+
 def export_csv(scenarios: ScenarioSet, path: str) -> None:
     """Write the set to ``path`` in the scenario CSV schema."""
     npil = scenarios.n_pillars
     header = "path,t,x,pi,w," + ",".join(f"r{m}" for m in range(1, npil + 1))
-    columns = (scenarios.x[..., None], scenarios.pi[..., None], scenarios.w[..., None])
-    panel = np.concatenate(columns + (scenarios.curves,), axis=2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for p in range(scenarios.n_paths):
-            # Python floats, so each cell is the shortest round-trip repr
-            for t, row in enumerate(panel[p].tolist()):
-                fh.write(f"{p},{t}," + ",".join(map(repr, row)) + "\n")
+        for p0 in range(0, scenarios.n_paths, _EXPORT_BLOCK):
+            paths = np.s_[p0 : p0 + _EXPORT_BLOCK]
+            columns = tuple(a[paths, :, None] for a in (scenarios.x, scenarios.pi, scenarios.w))
+            block = np.concatenate(columns + (scenarios._curve(paths),), axis=2)
+            for p, rows in enumerate(block, start=p0):
+                # Python floats, so each cell is the shortest round-trip repr
+                for t, row in enumerate(rows.tolist()):
+                    fh.write(f"{p},{t}," + ",".join(map(repr, row)) + "\n")
 
 
 def ingest(path: str, wage_spread: float = 0.005) -> ScenarioSet:
@@ -338,7 +380,7 @@ def ingest(path: str, wage_spread: float = 0.005) -> ScenarioSet:
         x=x,
         pi=pi,
         w=w,
-        curves=curves,
+        panel=curves,
         wage_spread=wage_spread,
     )
 
@@ -418,7 +460,7 @@ def summarize(scenarios: ScenarioSet, matching: np.ndarray | None = None) -> Mom
     """
     t0 = 0 if matching is None else 1
     # maturity 10 is pillar 10 when available, else flat beyond the last pillar
-    r10 = scenarios.curves[:, :, min(10, scenarios.n_pillars) - 1]
+    r10 = scenarios._curve(np.s_[:, t0:], [min(10, scenarios.n_pillars) - 1])
 
     columns: dict[str, np.ndarray] = {"x": scenarios.x[:, t0:].ravel()}
     if matching is not None:
@@ -427,7 +469,7 @@ def summarize(scenarios: ScenarioSet, matching: np.ndarray | None = None) -> Mom
                 f"matching panel shape {matching.shape} != {scenarios.x.shape}"
             )
         columns["m"] = matching[:, t0:].ravel()
-    columns["r10"] = r10[:, t0:].ravel()
+    columns["r10"] = r10.ravel()
     columns["pi"] = scenarios.pi[:, t0:].ravel()
     columns["w"] = scenarios.w[:, t0:].ravel()
 

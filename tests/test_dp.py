@@ -3,7 +3,7 @@
 import itertools
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -670,7 +670,10 @@ def test_permuting_paths_permutes_every_strategy():
     # depend on their order
     scenarios = simulate(ModelParams(), 400, 16, seed=11)
     perm = np.random.default_rng(0).permutation(scenarios.n_paths)
-    permuted = replace(scenarios, **{k: getattr(scenarios, k)[perm] for k in ("x", "pi", "w", "curves")})
+    # every per-path array the set holds: x, pi, w and the curve's factors
+    held = {f.name: getattr(scenarios, f.name) for f in fields(scenarios)}
+    permuted = replace(scenarios, **{k: a[perm] for k, a in held.items() if np.ndim(a) > 1})
+    assert np.array_equal(permuted.curves, scenarios.curves[perm])
     worlds = [SimulationInputs.prepare(s, annuity=AnnuitySpec(T=16, N=20)) for s in (scenarios, permuted)]
     params = _params(16)
     for strategy in _every_strategy(params, worlds[0]):

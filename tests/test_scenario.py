@@ -111,14 +111,74 @@ def test_moment_report_output_round_trip(tmp_path, default_set):
     assert out.read_text().splitlines() == list(rep.csv_lines())
 
 
-def test_rates_pillars_match_curves(default_set):
-    got = default_set.rates(3, np.arange(1, 31))
-    assert np.array_equal(got, default_set.curves[:, 3, :])
+def test_rates_pillars_match_curves(default_set, tmp_path):
+    # both forms, and a simulated set whose floor binds: at every year,
+    # maturity m reads pillar m up to the last, flat past it, bit for bit
+    # the panel ``curves`` builds
+    from pensionsim.scenario import _GROWTH_FLOOR
+
+    floored = simulate(ModelParams(std_level=0.6), 200, 12, seed=3)
+    assert np.any(floored.curves == _GROWTH_FLOOR)
+    export_csv(simulate(ModelParams(), 20, 6, seed=21), tmp_path / "scen.csv")
+    ingested = ingest(tmp_path / "scen.csv")
+    maturities = np.arange(1, 61)
+    for s in (default_set, floored, ingested):
+        curves = s.curves
+        pillars = np.minimum(maturities, s.n_pillars) - 1
+        for year in range(s.horizon + 1):
+            assert np.array_equal(s.rates(year, maturities), curves[:, year, pillars])
+
+
+def test_simulated_set_holds_no_rate_panel():
+    # the traced peak of simulate and prepare stays below one
+    # (paths, years, pillars) panel, and the set keeps no 3-D array
+    import tracemalloc
+    from dataclasses import fields
+
+    from pensionsim.engine import SimulationInputs
+
+    n, horizon = 2000, 41
+    panel_bytes = n * (horizon + 1) * ModelParams().max_maturity * 8
+    tracemalloc.start()
+    try:
+        s = simulate(ModelParams(), n, horizon, seed=42)
+        held = tracemalloc.get_traced_memory()[0]
+        SimulationInputs.prepare(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < panel_bytes and peak < panel_bytes
+    assert all(np.ndim(getattr(s, f.name)) < 3 for f in fields(s))
+
+
+@pytest.mark.parametrize(
+    "level, slope, bad",
+    [(0.0, -1e308, "curves"), (1e308, 1e308, "curves"), (0.0, np.nan, "slope")],
+)
+def test_overflowing_factor_curve_rejected(level, slope, bad):
+    # -1e308 overflows at the first pillar, 1e308 + 1e308 at the last
+    from dataclasses import replace
+
+    s = simulate(ModelParams(), 4, 3, seed=1)
+    with pytest.raises(ShapeError, match=f"{bad} contains non-finite"):
+        replace(s, level=np.full_like(s.level, level), slope=np.full_like(s.slope, slope))
+
+
+def test_set_holds_one_curve_form():
+    from dataclasses import replace
+
+    s = simulate(ModelParams(), 4, 3, seed=1)
+    with pytest.raises(ShapeError):
+        replace(s, panel=s.curves)
+    with pytest.raises(ShapeError):
+        replace(s, level=None)
+    with pytest.raises(TypeError):
+        replace(s, curves=s.curves)
 
 
 def test_curves_equal_level_plus_slope_times_loadings():
-    # the VAR(1) state rebuilt here; simulate builds the curves in place,
-    # and they must equal the two-temporary expression bit for bit
+    # the VAR(1) state rebuilt here; the curve a simulated set forms from
+    # its factors must equal the two-temporary expression bit for bit
     from pensionsim.scenario import _GROWTH_FLOOR, _psd_factor
 
     params, n, horizon, seed = ModelParams(), 30, 6, 5
@@ -149,15 +209,18 @@ def test_rates_interpolation_and_extrapolation(default_set):
 
 
 def test_export_ingest_round_trip(tmp_path, default_set):
-    small = simulate(ModelParams(), 5, 6, seed=21)
+    from pensionsim.scenario import _EXPORT_BLOCK
+
+    # more paths than one block of rows
+    n = _EXPORT_BLOCK + 5
+    small = simulate(ModelParams(), n, 6, seed=21)
     path = tmp_path / "scen.csv"
     export_csv(small, path)
     back = ingest(path, wage_spread=small.wage_spread)
-    assert back.n_paths == 5 and back.horizon == 6
-    np.testing.assert_allclose(back.x, small.x, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(back.pi, small.pi, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(back.w, small.w, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(back.curves, small.curves, rtol=0, atol=1e-12)
+    assert back.n_paths == n and back.horizon == 6
+    # repr floats: the round trip is bit-exact
+    for name in ("x", "pi", "w", "curves"):
+        assert np.array_equal(getattr(back, name), getattr(small, name)), name
 
 
 def test_ingest_hand_written_panel(tmp_path):
