@@ -289,7 +289,6 @@ def _target_params(cfg: RunConfig, r: float) -> TargetParams:
         r=r,
         delta=v["strategy.delta"],
         N=v["annuity.N"],
-        T=v["annuity.T"],
         target_rr=v["strategy.target_rr"],
     )
 
@@ -417,7 +416,6 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
                 families,
                 target_rr=v["strategy.target_rr"],
                 delta=v["strategy.delta"],
-                N=v["annuity.N"],
                 threads=threads,
             )
             text = "family,param,shortfall,cvar10\n" + "".join(r.csv_row() + "\n" for r in rows)

@@ -429,8 +429,8 @@ class CombinationStrategy:
 
     ``threads`` is the number of worker processes for the independent
     per-contribution tranche solves: above one, the tranches born at tau >= 1
-    go to the forked workers of :func:`~pensionsim.engine._fan_out` while
-    this process solves tau = 0, the largest, through :func:`solve_policy`.
+    go to the forked workers of :func:`~pensionsim.engine._fan_out`, costliest
+    first, while this process solves tau = 0, the largest, through :func:`solve_policy`.
     Results never depend on the worker count.
     """
 
@@ -455,7 +455,7 @@ class CombinationStrategy:
         if self.mode == "per-contribution":
             steps = _fan_out(
                 _solve_steps, shared, [(tau,) for tau in range(1, T)],
-                self.threads, cost=lambda tau: -tau, here=lambda: _solve_steps(shared, 0),
+                self.threads, here=lambda: _solve_steps(shared, 0),
             )
         else:
             first = _solve_steps(shared, 0)

@@ -98,13 +98,13 @@ def _call_shared(call, *job):
     return call(_shared, *job)
 
 
-def _fan_out(call, shared, jobs: list, threads: int, cost, here=None) -> list:
+def _fan_out(call, shared, jobs: list, threads: int, here=None) -> list:
     """``[call(shared, *job) for job in jobs]``, on up to ``threads`` workers.
 
-    Above one thread the jobs go to forked workers in falling ``cost(*job)``,
-    list order on ties, while ``here()``, if given, runs in this process and
-    leads the results.  A failed job re-raises here, and every worker has
-    exited before this returns.  At one thread all runs here, in order.
+    Above one thread the jobs go to forked workers in list order (a caller
+    lists its costliest first), while ``here()``, if given, runs in this
+    process and leads the results.  A failed job re-raises here, and every
+    worker has exited before this returns.  At one thread all runs here, in order.
     """
     if threads == 1 or not jobs:
         return ([here()] if here else []) + [call(shared, *job) for job in jobs]
@@ -119,9 +119,8 @@ def _fan_out(call, shared, jobs: list, threads: int, cost, here=None) -> list:
     # BLAS call that wants threads starts a fresh pool
     pool = ProcessPoolExecutor(min(threads, len(jobs)), get_context("fork"), _adopt, (shared,))
     try:
-        order = sorted(range(len(jobs)), key=lambda i: cost(*jobs[i]), reverse=True)
-        futures = {i: pool.submit(_call_shared, call, *jobs[i]) for i in order}
-        return ([here()] if here else []) + [futures[i].result() for i in range(len(jobs))]
+        futures = [pool.submit(_call_shared, call, *job) for job in jobs]
+        return ([here()] if here else []) + [future.result() for future in futures]
     finally:
         # on a failure the queued jobs are dropped; either way every worker
         # has exited and been reaped before this returns

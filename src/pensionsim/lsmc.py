@@ -297,23 +297,21 @@ def loess_eval(model: LoessModel, x: float) -> float:
 
 @dataclass
 class InflationEstimator:
-    """Per-(path, year) expected annual inflation table.
+    """Per-(path, year) expected annual inflation table, (n_paths, T + 1).
 
     ``rates[:, t]`` is I(T; t), the expected effective annual inflation over
     [t, T]: the cross-sectional least-squares line of future cumulative
     inflation ``prod_{k=t+1..T}(1+pi_k)`` on realized cumulative inflation
-    ``cum[:, t] = prod_{k=1..t}(1+pi_k)`` (year-0 inflation is not
-    compounded), its fitted level floored at ``floor`` and rooted with order
-    ``T - (t+1)`` (the single-period level is used directly).  A constant
-    regressor (t = 0) fits the cross-sectional mean alone.  The column at
-    t = T carries the t = T-1 value forward (annuity pricing at retirement
-    still needs an expected-inflation rate, and the same annual rate extends
-    beyond the regression's last observation year).
+    ``prod_{k=1..t}(1+pi_k)`` (year-0 inflation is not compounded; ``fit``
+    keeps no panel but ``rates``), its fitted level floored at ``floor`` and
+    rooted with order ``T - (t+1)`` (the single-period level is used
+    directly).  A constant regressor (t = 0) fits the cross-sectional mean
+    alone.  The column at t = T carries the t = T-1 value forward (annuity
+    pricing at retirement still needs an expected-inflation rate, and the
+    same annual rate extends beyond the regression's last observation year).
     """
 
-    T: int
-    rates: np.ndarray   # (n_paths, T+1)
-    cum: np.ndarray     # (n_paths, T+1)
+    rates: np.ndarray
 
     @classmethod
     def fit(cls, scenarios, T: int, floor: float = 0.5) -> "InflationEstimator":
@@ -334,9 +332,10 @@ class InflationEstimator:
             order = T - t - 1
             rates[:, t] = levels ** (1.0 / order) - 1.0 if order else levels - 1.0
         rates[:, T] = rates[:, T - 1]
-        return cls(T=T, rates=rates, cum=cum)
+        return cls(rates=rates)
 
     def annual_rate(self, t: int) -> np.ndarray:
-        if not 0 <= t <= self.T:
-            raise DomainError(f"t={t} outside 0..{self.T}")
+        T = self.rates.shape[1] - 1
+        if not 0 <= t <= T:
+            raise DomainError(f"t={t} outside 0..{T}")
         return self.rates[:, t]

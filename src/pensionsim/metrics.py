@@ -128,7 +128,7 @@ class ReplacementEstimators:
     """
 
     def __init__(self, inputs: SimulationInputs, params: TargetParams):
-        _target_growth_base(inputs, params)  # checks the horizon, 1 + r + pi and 1 + r + I_t
+        _target_growth_base(inputs, params)  # checks N, 1 + r + pi and 1 + r + I_t
         self.inputs = inputs
         self.params = params
 
@@ -161,26 +161,17 @@ class ReplacementEstimators:
             raise EstimatorError("expected wage growth must stay positive")
         return pi, salary_path(w, inputs.schedule), contribution_path(w, inputs.schedule)
 
-    def _wealth_at_T(self, wealth_t, t: int, pi, contributions) -> np.ndarray:
-        """``wealth_t`` and the contributions of years t+1..T-1 grown to T,
-        written over ``contributions``' columns t and T; year T's own
-        contribution is outside the forward sum by convention."""
+    # -- headline estimators -----------------------------------------------
+
+    def expected_rr(self, wealth_t, t: int) -> np.ndarray:
+        """Expected replacement ratio R_t given wealth at year t: E[W_T | year t]
+        grows ``wealth_t`` and the contributions of years t+1..T-1 to T at the
+        1 + r + pi seen from t (year T's own is outside the sum by convention)."""
+        pi, salaries, contributions = self._seen_from(t)
         flows = contributions[:, t:]
         flows[:, -1] = 0.0
         flows[:, 0] = wealth_t
-        return _compounded(flows, 1.0 + self.params.r, pi[:, t:])[:, -1]
-
-    # -- headline estimators -----------------------------------------------
-
-    def expected_terminal_wealth(self, wealth_t, t: int) -> np.ndarray:
-        """E[W_T | year t]: current wealth compounded plus future inflows."""
-        pi, _, contributions = self._seen_from(t)
-        return self._wealth_at_T(wealth_t, t, pi, contributions)
-
-    def expected_rr(self, wealth_t, t: int) -> np.ndarray:
-        """Expected replacement ratio R_t given wealth at year t."""
-        pi, salaries, contributions = self._seen_from(t)
-        w_T = self._wealth_at_T(wealth_t, t, pi, contributions)
+        w_T = _compounded(flows, 1.0 + self.params.r, pi[:, t:])[:, -1]
         return replacement_ratio(w_T, self.expected_market_factor(t), salaries, pi)
 
     def target_rr(self, t: int) -> np.ndarray:
@@ -272,9 +263,6 @@ _FRONTIER_FAMILIES = {
     "cumulative": lambda param, target: CumulativeTargetStrategy(target(param)),
     "individual": lambda param, target: IndividualTargetStrategy(target(param)),
 }
-# one frontier row's CPU ms at 8000 paths x 41 years (min of 15 runs on a 2-core
-# x86-64 machine); only the order matters: the costliest rows go out first
-_ROW_COST = {IndividualTargetStrategy: 52, CumulativeTargetStrategy: 17, StaticMixStrategy: 5}
 
 
 def _row_terminal(inputs: SimulationInputs, strategy) -> np.ndarray:
@@ -287,16 +275,16 @@ def frontier(
     families: dict,
     target_rr: float = 0.70,
     delta: float = 0.025,
-    N: int = 20,
     threads: int = 1,
 ) -> list:
     """Mean shortage and 10% CVaR per (family, parameter) combination.
 
     ``families`` maps a family name (``static``, ``cumulative`` or
     ``individual``) to its parameter grid: mixes for static, required
-    returns for the target families.  Rows come back sorted by family
-    name, then parameter.  With every row's strategy built here, the rows run
-    on ``threads`` workers of :func:`~pensionsim.engine._fan_out`.
+    returns for the target families, paid out over the prepared annuity's N
+    years.  Rows come back sorted by family name, then parameter, and run in
+    that order on ``threads`` workers of :func:`~pensionsim.engine._fan_out`,
+    each row's strategy built here first; the cheap static rows come last.
     """
     specs = []
     for family in sorted(families):
@@ -310,13 +298,11 @@ def frontier(
         raise ParameterError(f"threads must be >= 1, got {threads}")
 
     def target(r: float) -> TargetParams:
-        return TargetParams(r=r, delta=delta, N=N, T=inputs.T, target_rr=target_rr)
+        return TargetParams(r=r, delta=delta, N=inputs.annuity.N, target_rr=target_rr)
 
     jobs = [(_FRONTIER_FAMILIES[family](param, target),) for family, param in specs]
     # one block as the rows come back, so their list dies at once
-    wealth = np.array(
-        _fan_out(_row_terminal, inputs, jobs, threads, cost=lambda s: _ROW_COST[type(s)])
-    )
+    wealth = np.array(_fan_out(_row_terminal, inputs, jobs, threads))
     rr = _terminal_rr(inputs, wealth)
     del wealth  # before the shortages and the tails are built
     shortage = _shortage(rr, target_rr)

@@ -257,14 +257,13 @@ def simulate(
     l_stat = _psd_factor(params.stationary_covariance(), "stationary covariance")
     l_innov = _psd_factor(params.innovation_covariance(), "innovation covariance")
 
-    noise = np.empty((n_paths, horizon + 1, 4))
-    for p in range(n_paths):
-        noise[p] = np.random.default_rng([seed, p]).standard_normal((horizon + 1, 4))
-
+    # one block: each year's state is written over its noise once the right side is formed
     state = np.empty((n_paths, horizon + 1, 4))
-    state[:, 0] = mu + noise[:, 0] @ l_stat.T
+    for p in range(n_paths):
+        state[p] = np.random.default_rng([seed, p]).standard_normal((horizon + 1, 4))
+    state[:, 0] = mu + state[:, 0] @ l_stat.T
     for t in range(1, horizon + 1):
-        state[:, t] = mu + (state[:, t - 1] - mu) * phi + noise[:, t] @ l_innov.T
+        state[:, t] = mu + (state[:, t - 1] - mu) * phi + state[:, t] @ l_innov.T
 
     x = np.maximum(state[..., 0], _GROWTH_FLOOR)
     pi = np.maximum(state[..., 1], _GROWTH_FLOOR)
@@ -444,37 +443,22 @@ class MomentReport:
             fh.write("\n")
 
 
-def summarize(scenarios: ScenarioSet, matching: np.ndarray | None = None) -> MomentReport:
+def summarize(scenarios: ScenarioSet) -> MomentReport:
     """Pooled means, stds and Pearson correlations of the panel variables.
 
-    Reports ``x``, ``m`` (when a matching-return panel aligned with the set is
-    supplied), the 10-year rate ``r10``, ``pi`` and ``w``.  When matching
-    returns are attached the year-0 cross-section is dropped from *all*
-    variables (m is undefined at t=0) so every statistic uses one common
-    sample.  Standard deviations use the n-1 normalization.
+    Reports ``x``, the 10-year rate ``r10``, ``pi`` and ``w``, each pooled
+    over every path and every year 0..horizon.  Standard deviations use the
+    n-1 normalization.
 
     Generated sets satisfy ``w == pi + wage_spread`` elementwise; in that case
     w's standard deviation and correlations are copied from pi (they are
     mathematically identical), which keeps corr(pi, w) exactly 1 instead of
     1 - O(1e-16) from round-off.
     """
-    t0 = 0 if matching is None else 1
+    names = ("x", "r10", "pi", "w")
     # maturity 10 is pillar 10 when available, else flat beyond the last pillar
-    r10 = scenarios._curve(np.s_[:, t0:], [min(10, scenarios.n_pillars) - 1])
-
-    columns: dict[str, np.ndarray] = {"x": scenarios.x[:, t0:].ravel()}
-    if matching is not None:
-        if matching.shape != scenarios.x.shape:
-            raise ShapeError(
-                f"matching panel shape {matching.shape} != {scenarios.x.shape}"
-            )
-        columns["m"] = matching[:, t0:].ravel()
-    columns["r10"] = r10.ravel()
-    columns["pi"] = scenarios.pi[:, t0:].ravel()
-    columns["w"] = scenarios.w[:, t0:].ravel()
-
-    names = tuple(columns)
-    sample = np.stack([columns[n] for n in names])
+    r10 = scenarios._curve(np.s_[:], [min(10, scenarios.n_pillars) - 1])
+    sample = np.stack([a.ravel() for a in (scenarios.x, r10, scenarios.pi, scenarios.w)])
     means = sample.mean(axis=1)
     stds = sample.std(axis=1, ddof=1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -57,12 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TargetParams:
-    """Required real return and annuity assumptions behind wealth targets."""
+    """Required real return and annuity assumptions behind wealth targets; T is
+    the prepared inputs' own, and ``N`` must be the N their M_t was priced with."""
 
     r: float
     delta: float = 0.025
     N: int = 20
-    T: int = 41
     target_rr: float = 0.70
 
     def __post_init__(self) -> None:
@@ -70,8 +70,8 @@ class TargetParams:
             raise ParameterError(f"required return r={self.r} must be finite and > -1")
         if not np.isfinite(self.delta) or self.delta <= -1.0:
             raise ParameterError(f"discount rate delta={self.delta} must exceed -1")
-        if self.N < 1 or self.T < 1:
-            raise ParameterError(f"N={self.N} and T={self.T} must be >= 1")
+        if self.N < 1:
+            raise ParameterError(f"N={self.N} must be >= 1")
         if not 0.0 < self.target_rr < 2.0:
             raise ParameterError(f"target replacement ratio {self.target_rr} not in (0, 2)")
 
@@ -105,12 +105,11 @@ class GlidePath:
         return cls(ages=tuple(ages), fraction=frac)
 
     @classmethod
-    def linear_to(cls, end: float, ages=tuple(range(25, 67)), start: float = 1.0) -> "GlidePath":
-        """Equity fraction moving linearly from ``start`` to ``end`` over ``ages``."""
-        for f in (start, end):
-            if not 0.0 <= f <= 1.0:
-                raise ParameterError(f"glide path fraction {f} not in [0, 1]")
-        frac = np.linspace(start, end, len(ages))
+    def linear_to(cls, end: float, ages=tuple(range(25, 67))) -> "GlidePath":
+        """Equity fraction moving linearly from 1.0 to ``end`` over ``ages``."""
+        if not 0.0 <= end <= 1.0:
+            raise ParameterError(f"glide path fraction {end} not in [0, 1]")
+        frac = np.linspace(1.0, end, len(ages))
         return cls(ages=tuple(ages), fraction=tuple(float(f) for f in frac))
 
     def fraction_at(self, age: int) -> float:
@@ -130,13 +129,13 @@ def static_step(mix_or_glide, age: int) -> float:
 
 
 def _target_growth_base(inputs: SimulationInputs, params: TargetParams) -> np.ndarray:
-    """1 + r + I_t over years 0..T, once the horizon is checked against the
-    prepared inputs and 1 + r + pi and 1 + r + I_t to stay positive."""
-    if params.T != inputs.T:
-        raise ParameterError(f"params.T={params.T} does not match prepared horizon {inputs.T}")
-    if np.any(1.0 + params.r + inputs.scenarios.pi[:, 1 : params.T + 1] <= 0.0):
+    """1 + r + I_t over the prepared years 0..T, once ``params.N`` is checked
+    against the priced annuity's, and 1 + r + pi and 1 + r + I_t to stay positive."""
+    if params.N != inputs.annuity.N:
+        raise ParameterError(f"params.N={params.N} does not match the annuity N={inputs.annuity.N}")
+    if np.any(1.0 + params.r + inputs.scenarios.pi[:, 1 : inputs.T + 1] <= 0.0):
         raise DomainError("1 + r + realized inflation must stay positive")
-    base = 1.0 + params.r + inputs.inflation.rates[:, : params.T + 1]
+    base = 1.0 + params.r + inputs.inflation.rates
     if np.any(base <= 0.0):
         raise DomainError("1 + r + expected inflation must stay positive")
     return base
@@ -158,7 +157,6 @@ class TargetFrame:
     """
 
     params: TargetParams
-    m_tilde: float
     M: np.ndarray
     growth_exp: np.ndarray
     pi: np.ndarray = field(repr=False)
@@ -166,9 +164,9 @@ class TargetFrame:
 
     @classmethod
     def build(cls, inputs: SimulationInputs, params: TargetParams) -> "TargetFrame":
-        growth_exp = _target_growth_base(inputs, params) ** np.arange(params.T, -1, -1)
-        pi = inputs.scenarios.pi[:, : params.T + 1]
-        return cls(params, params.m_tilde, inputs.market.M, growth_exp, pi, inputs.contributions)
+        growth_exp = _target_growth_base(inputs, params) ** np.arange(inputs.T, -1, -1)
+        pi = inputs.scenarios.pi[:, : inputs.T + 1]
+        return cls(params, inputs.market.M, growth_exp, pi, inputs.contributions)
 
     @cached_property
     def cumq(self) -> np.ndarray:
@@ -194,21 +192,21 @@ class TargetFrame:
 
     @cached_property
     def target_cum(self) -> np.ndarray:
-        return self.M * self.acc * self.growth_exp / self.m_tilde
+        return self.M * self.acc * self.growth_exp / self.params.m_tilde
 
     def tranche_targets(self, t: int) -> np.ndarray:
         """Targets of all tranches born up to t, shape (n_paths, t + 1).
 
         A transposed view of the year-major (t + 1, n_paths) block.
         """
-        scale = self.M[:, t] * self.growth_exp[:, t] / self.m_tilde
+        scale = self.M[:, t] * self.growth_exp[:, t] / self.params.m_tilde
         targets = scale * self.c_by_year[: t + 1]
         targets *= self.cumq[t] / self.cumq[: t + 1]
         return targets.T
 
     def z0(self, tau: int) -> np.ndarray:
         """Initial wealth-to-target ratio of a tranche born at tau (or a slice of years)."""
-        return self.m_tilde / (self.M[:, tau] * self.growth_exp[:, tau])
+        return self.params.m_tilde / (self.M[:, tau] * self.growth_exp[:, tau])
 
 
 def cumulative_step(wealth, target, alpha_prev, x, m, t: int):

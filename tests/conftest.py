@@ -79,13 +79,14 @@ def dense_tranche_run(inputs, decide):
 
 
 def reference_estimators(inputs, params, wealth_t, t, M_hat):
-    """Closed-form mid-career estimators ``(E_t[W_T], R_t, R*(t))`` at year t.
+    """Closed-form mid-career estimators ``(R_t, R*(t))`` at year t.
 
     Written apart from the package's compounding: the indexed wage sum takes
-    ratios of realized cumulative inflation ``inflation.cum`` (flat I_t after
-    t), salaries and franchises grow from year t by ``wage_growth ** k``, and
-    every projected contribution of year k is grown by ``(1 + r + I_t) **
-    (T - k)``.  ``M_hat`` is E[M_T | year t].
+    ratios of realized cumulative inflation, compounded here from
+    ``scenarios.pi`` (year 0 not compounded; flat I_t after t), salaries and
+    franchises grow from year t by ``wage_growth ** k``, and every projected
+    contribution of year k is grown by ``(1 + r + I_t) ** (T - k)``.
+    ``M_hat`` is E[M_T | year t].
     """
     T = inputs.T
     I_t = inputs.inflation.annual_rate(t)
@@ -97,7 +98,9 @@ def reference_estimators(inputs, params, wealth_t, t, M_hat):
     f_hat = inputs.franchises[:, t][:, None] * wage_proj
     rates = np.asarray(inputs.schedule.contribution_rate)[t:]
     c_hat = rates * np.maximum(s_hat - f_hat, 0.0)
-    cum = inputs.inflation.cum[:, : T + 1]
+    growth = 1.0 + inputs.scenarios.pi[:, : T + 1]
+    growth[:, 0] = 1.0
+    cum = np.cumprod(growth, axis=1)
     cum_hat = np.hstack((cum[:, :t], cum[:, t][:, None] * (1.0 + I_t)[:, None] ** horizon))
     salaries = np.hstack((inputs.salaries[:, :t], s_hat))
     den = (salaries * (cum_hat[:, -1:] / cum_hat)).sum(axis=1)
@@ -109,27 +112,28 @@ def reference_estimators(inputs, params, wealth_t, t, M_hat):
         c[:, k] * np.prod(1.0 + params.r + pi[:, k + 1 : t + 1], axis=1) for k in range(t + 1)
     )
     pension = acc_t * grow[:, 0] + (c_hat[:, 1:] * grow[:, 1:]).sum(axis=1)
-    return w_T, w_T / M_hat * (T + 1) / den, pension / params.m_tilde * (T + 1) / den
+    return w_T / M_hat * (T + 1) / den, pension / params.m_tilde * (T + 1) / den
 
 
-def target_wealth_factor(pi, tau, t, params, expected_rate):
+def target_wealth_factor(pi, tau, t, T, params, expected_rate):
     """Scalar oracle for the compounding factor E_t F_tau of one contribution
-    toward the target, which ``TargetFrame`` computes for all paths at once.
+    toward the target at horizon T, which ``TargetFrame`` computes for all
+    paths at once.
 
     Realized inflation ``pi`` (a single path) is used between tau and t,
     the current expected rate beyond t.
     """
-    if not 0 <= tau <= t <= params.T:
-        raise ParameterError(f"need 0 <= tau <= t <= T, got tau={tau}, t={t}, T={params.T}")
+    if not 0 <= tau <= t <= T:
+        raise ParameterError(f"need 0 <= tau <= t <= T, got tau={tau}, t={t}, T={T}")
     pi = np.asarray(pi, dtype=float)
     realized = 1.0 + params.r + pi[tau + 1 : t + 1]
     future = 1.0 + params.r + expected_rate
     if np.any(realized <= 0.0) or future <= 0.0:
         raise DomainError("target growth factor 1 + r + inflation must stay positive")
-    return float(np.prod(realized) * future ** (params.T - t))
+    return float(np.prod(realized) * future ** (T - t))
 
 
-def cumulative_target(pi, contributions, t, params, M_t, m_tilde, expected_rate):
+def cumulative_target(pi, contributions, t, T, params, M_t, m_tilde, expected_rate):
     """Scalar oracle for the aggregate wealth target
     (M_t / M~_T) * sum_tau c_tau * E_t F_tau of ``TargetFrame.target_cum``.
     """
@@ -139,7 +143,8 @@ def cumulative_target(pi, contributions, t, params, M_t, m_tilde, expected_rate)
     if c.shape[0] < t + 1:
         raise ParameterError(f"need contributions c_0..c_{t}, got {c.shape[0]}")
     total = sum(
-        c[tau] * target_wealth_factor(pi, tau, t, params, expected_rate) for tau in range(t + 1)
+        c[tau] * target_wealth_factor(pi, tau, t, T, params, expected_rate)
+        for tau in range(t + 1)
     )
     return M_t / m_tilde * total
 
@@ -149,7 +154,7 @@ def reference_tranche_targets(frame, t):
     contributions through a strided transposed view.  The frame's
     year-major read must equal it bit for bit.
     """
-    scale = frame.M[:, t] * frame.growth_exp[:, t] / frame.m_tilde
+    scale = frame.M[:, t] * frame.growth_exp[:, t] / frame.params.m_tilde
     targets = np.multiply(scale, frame.contributions[:, : t + 1].T, order="C")
     targets *= frame.cumq[t] / frame.cumq[: t + 1]
     return targets.T

@@ -108,8 +108,8 @@ def test_04_cvar_matches_sort_oracle():
 
 def test_05_rule_strategy_invariants_on_full_set(default_inputs):
     inputs = default_inputs
-    params_c = TargetParams(r=0.0306, target_rr=0.70, T=inputs.T)
-    params_i = TargetParams(r=0.0299, target_rr=0.70, T=inputs.T)
+    params_c = TargetParams(r=0.0306, target_rr=0.70)
+    params_i = TargetParams(r=0.0299, target_rr=0.70)
 
     # (a) cumulative rule: never in equity while wealth covers the target
     cum = CumulativeTargetStrategy(params=params_c).run(inputs)
@@ -140,7 +140,7 @@ def test_05_rule_strategy_invariants_on_full_set(default_inputs):
 
 def test_06_toy_solver_equals_enumeration(tmp_path):
     inputs = _toy_inputs(tmp_path)
-    frame = TargetFrame.build(inputs, _params(2))
+    frame = TargetFrame.build(inputs, _params())
     cfg = DpConfig(grid=(0.0, 1.0), iterations=2)
     policy = solve_policy(inputs, frame, cfg, tau=0)
 
@@ -216,7 +216,7 @@ def test_07_dynamic_rules_beat_optimized_static_and_report_is_fast(
 
 
 def test_08_target_replacement_level_is_stable_within_paths(default_inputs):
-    params = TargetParams(r=0.025, target_rr=0.70, T=default_inputs.T)
+    params = TargetParams(r=0.025, target_rr=0.70)
     est = ReplacementEstimators(default_inputs, params)
     levels = np.stack([est.target_rr(t) for t in range(default_inputs.T + 1)])
     spread = levels.max(axis=0) - levels.min(axis=0)
@@ -226,7 +226,7 @@ def test_08_target_replacement_level_is_stable_within_paths(default_inputs):
 @pytest.fixture(scope="module")
 def full_scale_policy(default_inputs):
     """The tau = 0 policy of the default set at r = 0.02, and its parameters."""
-    params = TargetParams(r=0.02, target_rr=0.70, T=default_inputs.T)
+    params = TargetParams(r=0.02, target_rr=0.70)
     frame = TargetFrame.build(default_inputs, params)
     return solve_policy(default_inputs, frame, DpConfig(), tau=0), params
 

@@ -57,6 +57,17 @@ def test_default_config_builds_dataclass_defaults():
     assert cli._dp_config(cfg) == DpConfig()
 
 
+def test_config_surface_is_pinned():
+    # adding, dropping or re-defaulting a key is a deliberate edit of this sha
+    import hashlib
+
+    text = cli.format_defaults()
+    assert len(text.splitlines()) == 58
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b5e9d4afc282889081c13e9c2bc71fee4173f0a91a3298073e5f9822bb97af07"
+    )
+
+
 def test_defaults_without_config_file():
     cfg = cli.parse_config(None)
     assert cfg.source == "<defaults>"

@@ -27,8 +27,8 @@ from pensionsim.errors import DomainError, EstimatorError, ParameterError
 from pensionsim.metrics import REPORT_COLUMNS
 
 
-def _params(T, r=0.025):
-    return TargetParams(r=r, delta=0.025, N=20, T=T)
+def _params(r=0.025):
+    return TargetParams(r=r, delta=0.025, N=20)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,11 @@ def test_estimators_build_no_target_frame(small_inputs, monkeypatch):
         raise AssertionError("TargetFrame.build called")
 
     monkeypatch.setattr(TargetFrame, "build", build)
-    ReplacementEstimators(small_inputs, _params(small_inputs.T))
+    ReplacementEstimators(small_inputs, _params())
 
 
 def test_expected_rr_exact_at_retirement(small_inputs):
-    est = ReplacementEstimators(small_inputs, _params(small_inputs.T))
+    est = ReplacementEstimators(small_inputs, _params())
     outcome = StaticMixStrategy(mix=0.5).run(small_inputs)
     T = small_inputs.T
     rr = replacement_ratio(
@@ -143,11 +143,6 @@ def test_expected_rr_exact_at_retirement(small_inputs):
         small_inputs.scenarios.pi[:, : T + 1],
     )
     np.testing.assert_array_equal(est.expected_rr(outcome.wealth[:, T], T), rr)
-    np.testing.assert_allclose(
-        est.expected_terminal_wealth(outcome.wealth[:, T], T),
-        outcome.wealth[:, T],
-        rtol=0, atol=0,
-    )
 
 
 def test_expected_rr_constant_in_flat_world(flat_inputs):
@@ -155,7 +150,7 @@ def test_expected_rr_constant_in_flat_world(flat_inputs):
     # coincide with the realized path, so the mid-career estimate never moves
     # (the forward contribution sum runs through T-1, so year T itself is
     # exact for realized wealth instead and is checked separately)
-    est = ReplacementEstimators(flat_inputs, _params(flat_inputs.T, r=0.0))
+    est = ReplacementEstimators(flat_inputs, _params(r=0.0))
     outcome = StaticMixStrategy(mix=0.0).run(flat_inputs)
     T = flat_inputs.T
     first = est.expected_rr(outcome.wealth[:, 0], 0)
@@ -174,15 +169,15 @@ def test_target_rr_is_scale_invariant(small_inputs):
         schedule=replace(sched, base_salary=sched.base_salary * 10,
                          franchise=sched.franchise * 10),
     )
-    a = ReplacementEstimators(small_inputs, _params(small_inputs.T))
-    b = ReplacementEstimators(scaled_inputs, _params(small_inputs.T))
+    a = ReplacementEstimators(small_inputs, _params())
+    b = ReplacementEstimators(scaled_inputs, _params())
     for t in (0, 4, small_inputs.T):
         np.testing.assert_allclose(b.target_rr(t), a.target_rr(t), rtol=1e-12)
 
 
 def test_target_rr_matches_funded_target_at_retirement(small_inputs):
     # a portfolio that lands exactly on the aggregate target retires at R*(T)
-    params = _params(small_inputs.T)
+    params = _params()
     frame = TargetFrame.build(small_inputs, params)
     est = ReplacementEstimators(small_inputs, params)
     T = small_inputs.T
@@ -202,15 +197,12 @@ def test_target_rr_matches_funded_target_at_retirement(small_inputs):
 
 
 def test_estimators_match_closed_forms_at_every_year(small_inputs):
-    params = _params(small_inputs.T)
+    params = _params()
     est = ReplacementEstimators(small_inputs, params)
     wealth = StaticMixStrategy(mix=0.5).run(small_inputs).wealth
     for t in range(small_inputs.T + 1):
         M_hat = est.expected_market_factor(t)
-        w_T, r_t, r_star = reference_estimators(small_inputs, params, wealth[:, t], t, M_hat)
-        np.testing.assert_allclose(
-            est.expected_terminal_wealth(wealth[:, t], t), w_T, rtol=1e-12, err_msg=f"t={t}"
-        )
+        r_t, r_star = reference_estimators(small_inputs, params, wealth[:, t], t, M_hat)
         np.testing.assert_allclose(est.expected_rr(wealth[:, t], t), r_t, rtol=1e-12,
                                    err_msg=f"t={t}")
         np.testing.assert_allclose(est.target_rr(t), r_star, rtol=1e-12, err_msg=f"t={t}")
@@ -220,7 +212,7 @@ def test_estimators_refuse_non_positive_projected_wage_growth(small_inputs):
     # 1 + I_t + spread <= 0 on every projected year; year T projects none
     T = small_inputs.T
     scenarios = replace(small_inputs.scenarios, wage_spread=-2.0)
-    est = ReplacementEstimators(replace(small_inputs, scenarios=scenarios), _params(T))
+    est = ReplacementEstimators(replace(small_inputs, scenarios=scenarios), _params())
     wealth = np.ones(small_inputs.n_paths)
     for t in (0, T - 1):
         with pytest.raises(EstimatorError, match="wage growth"):
@@ -228,12 +220,12 @@ def test_estimators_refuse_non_positive_projected_wage_growth(small_inputs):
         with pytest.raises(EstimatorError, match="wage growth"):
             est.target_rr(t)
     np.testing.assert_array_equal(
-        est.target_rr(T), ReplacementEstimators(small_inputs, _params(T)).target_rr(T)
+        est.target_rr(T), ReplacementEstimators(small_inputs, _params()).target_rr(T)
     )
 
 
 def test_target_rr_stable_within_paths(small_inputs):
-    est = ReplacementEstimators(small_inputs, _params(small_inputs.T))
+    est = ReplacementEstimators(small_inputs, _params())
     levels = np.stack([est.target_rr(t) for t in range(small_inputs.T + 1)])
     spread = levels.max(axis=0) - levels.min(axis=0)
     assert np.mean(spread <= 0.02) >= 0.95
@@ -245,14 +237,14 @@ def test_target_rr_stable_within_paths(small_inputs):
     strict=True,
 )
 def test_target_rr_level_band(default_inputs):
-    est = ReplacementEstimators(default_inputs, _params(default_inputs.T))
+    est = ReplacementEstimators(default_inputs, _params())
     assert 0.68 <= float(np.mean(est.target_rr(0))) <= 0.71
 
 
 def test_estimator_bounds(small_inputs):
-    est = ReplacementEstimators(small_inputs, _params(small_inputs.T))
+    est = ReplacementEstimators(small_inputs, _params())
     with pytest.raises(ParameterError):
-        est.expected_terminal_wealth(np.ones(small_inputs.n_paths), small_inputs.T + 1)
+        est.expected_rr(np.ones(small_inputs.n_paths), small_inputs.T + 1)
     with pytest.raises(ParameterError):
         est.target_rr(-1)
 
@@ -269,7 +261,7 @@ def test_report_columns():
 
 
 def test_evaluate_strategy_summarizes_replacement_ratios(small_inputs):
-    params = _params(small_inputs.T)
+    params = _params()
     rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), params)
     outcome = StaticMixStrategy(mix=0.3).run(small_inputs)
     T = small_inputs.T
@@ -315,7 +307,7 @@ def test_evaluate_strategy_on_goal_hitting_stub(small_inputs):
             return StrategyOutcome(label=self.label, wealth=wealth,
                                    alpha=np.zeros_like(wealth))
 
-    rep = evaluate_strategy(small_inputs, Stub(), _params(T))
+    rep = evaluate_strategy(small_inputs, Stub(), _params())
     np.testing.assert_allclose(rep.mean, 0.7, rtol=1e-8)
     np.testing.assert_allclose(rep.cvar5, 0.7, rtol=1e-8)
     np.testing.assert_allclose(rep.shortage, 0.0, atol=1e-12)
@@ -326,11 +318,11 @@ def test_evaluate_strategy_rejects_a_lag_outside_the_horizon(small_inputs):
     T = small_inputs.T
     for lag in (-1, T + 1, 100):
         with pytest.raises(ParameterError, match="estimation_lag"):
-            evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), _params(T), lag)
+            evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), _params(), lag)
     # a lag of T scores the estimator at t = 0
     outcome = StaticMixStrategy(mix=0.3).run(small_inputs)
-    rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), _params(T), T)
-    est = ReplacementEstimators(small_inputs, _params(T))
+    rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.3), _params(), T)
+    est = ReplacementEstimators(small_inputs, _params())
     rr = replacement_ratio(
         outcome.terminal_wealth,
         small_inputs.market.M[:, T],
@@ -342,14 +334,14 @@ def test_evaluate_strategy_rejects_a_lag_outside_the_horizon(small_inputs):
 
 
 def test_expected_market_factor_rejects_years_outside_the_horizon(small_inputs):
-    est = ReplacementEstimators(small_inputs, _params(small_inputs.T))
+    est = ReplacementEstimators(small_inputs, _params())
     for t in (-1, small_inputs.T + 1):
         with pytest.raises(ParameterError):
             est.expected_market_factor(t)
 
 
 def test_evaluate_report_csv_row_parses(small_inputs):
-    rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.0), _params(small_inputs.T))
+    rep = evaluate_strategy(small_inputs, StaticMixStrategy(mix=0.0), _params())
     fields = rep.csv_row().split(",")
     assert len(fields) == len(REPORT_COLUMNS)
     assert fields[0] == "static_0"
@@ -420,11 +412,11 @@ def _power(base, exponent):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_fan_out_returns_results_in_job_order(threads):
-    # submitted by falling cost, 2, 5 and 8 first, but read back in list order
+    # ``here`` leads, then the jobs in list order, whichever worker ran them
     jobs = [(i,) for i in range(9)]
-    out = _fan_out(_power, 3, jobs, threads, cost=lambda i: i % 3, here=lambda: "here")
+    out = _fan_out(_power, 3, jobs, threads, here=lambda: "here")
     assert out == ["here"] + [3**i for i in range(9)]
-    assert _fan_out(_power, 3, jobs, threads, cost=lambda i: 0) == out[1:]
+    assert _fan_out(_power, 3, jobs, threads) == out[1:]
     assert multiprocessing.active_children() == []
 
 

@@ -88,7 +88,7 @@ def test_package_outcomes_pass_the_tranche_oracles(small_inputs, monkeypatch):
     import workloads
 
     p = workloads.panels(small_inputs)
-    params = TargetParams(r=0.02, T=small_inputs.T)
+    params = TargetParams(r=0.02)
     individual = IndividualTargetStrategy(params).run(small_inputs)
     assert oracles.check_individual(individual.tranche_alpha) == []
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
@@ -105,7 +105,7 @@ def test_solved_policy_passes_the_policy_checks(small_inputs, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     import traced
 
-    params = TargetParams(r=0.01, T=small_inputs.T)
+    params = TargetParams(r=0.01)
     policy = dp.solve_policy(small_inputs, TargetFrame.build(small_inputs, params), tau=0)
     bad, switches, _ = traced.policy_checks(policy, params, small_inputs)
     assert bad == []
@@ -116,7 +116,7 @@ def test_tranche_solves_run_through_a_wrapped_solve_policy(small_inputs, monkeyp
     # perfbench's traced hook replaces ``dp.solve_policy`` with a wrapper of
     # this signature; every tranche solve, in this process or a forked
     # worker, goes through the module-level name
-    params = TargetParams(r=0.02, T=small_inputs.T)
+    params = TargetParams(r=0.02)
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
     reference = CombinationStrategy(params, cfg=cfg, threads=1).run(small_inputs).tranche_alpha
     original = dp.solve_policy

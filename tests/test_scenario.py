@@ -131,7 +131,9 @@ def test_rates_pillars_match_curves(default_set, tmp_path):
 
 def test_simulated_set_holds_no_rate_panel():
     # the traced peak of simulate and prepare stays below one
-    # (paths, years, pillars) panel, and the set keeps no 3-D array
+    # (paths, years, pillars) panel, and the set keeps no 3-D array; simulate
+    # itself needs less than two (paths, years, 4) state blocks beyond the set
+    # it returns, since each year's state is written over its own noise
     import tracemalloc
     from dataclasses import fields
 
@@ -139,15 +141,17 @@ def test_simulated_set_holds_no_rate_panel():
 
     n, horizon = 2000, 41
     panel_bytes = n * (horizon + 1) * ModelParams().max_maturity * 8
+    state_bytes = n * (horizon + 1) * 4 * 8
     tracemalloc.start()
     try:
         s = simulate(ModelParams(), n, horizon, seed=42)
-        held = tracemalloc.get_traced_memory()[0]
+        held, simulate_peak = tracemalloc.get_traced_memory()
         SimulationInputs.prepare(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert held < panel_bytes and peak < panel_bytes
+    assert simulate_peak - held < 2 * state_bytes
     assert all(np.ndim(getattr(s, f.name)) < 3 for f in fields(s))
 
 

@@ -43,8 +43,8 @@ from pensionsim.market import AnnuitySpec
 from pensionsim.strategies import _compounded, _run_tranches
 
 
-def _params(T, r=0.02):
-    return TargetParams(r=r, delta=0.025, N=20, T=T)
+def _params(r=0.02):
+    return TargetParams(r=r, delta=0.025, N=20)
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +53,15 @@ def _params(T, r=0.02):
 
 def test_target_params_validation():
     with pytest.raises(ParameterError):
-        TargetParams(r=-1.0, delta=0.025, N=20, T=41)
+        TargetParams(r=-1.0, delta=0.025, N=20)
     with pytest.raises(ParameterError):
-        TargetParams(r=0.02, delta=-1.5, N=20, T=41)
+        TargetParams(r=0.02, delta=-1.5, N=20)
     with pytest.raises(ParameterError):
-        TargetParams(r=0.02, delta=0.025, N=20, T=41, target_rr=2.0)
+        TargetParams(r=0.02, delta=0.025, N=20, target_rr=2.0)
 
 
 def test_target_params_annuity_factor():
-    p = _params(41)
+    p = _params()
     np.testing.assert_allclose(
         p.m_tilde, post_retirement_factor(0.025, 20), rtol=0, atol=0
     )
@@ -94,8 +94,6 @@ def test_glide_path_validation():
     for end in (1.4, 1.5, -0.1, float("nan")):
         with pytest.raises(ParameterError):
             GlidePath.linear_to(end)
-    with pytest.raises(ParameterError):
-        GlidePath.linear_to(0.3, start=1.2)
 
 
 def test_static_step_dispatch():
@@ -112,44 +110,44 @@ def test_static_step_dispatch():
 
 def test_target_wealth_factor_examples():
     zero_pi = np.zeros(5)
-    p = TargetParams(r=0.0, delta=0.025, N=20, T=4)
-    assert target_wealth_factor(zero_pi, 1, 3, p, expected_rate=0.0) == 1.0
-    assert target_wealth_factor(zero_pi, 4, 4, p, expected_rate=0.0) == 1.0
-    p2 = TargetParams(r=0.02, delta=0.025, N=20, T=4)
+    p = TargetParams(r=0.0, delta=0.025, N=20)
+    assert target_wealth_factor(zero_pi, 1, 3, 4, p, expected_rate=0.0) == 1.0
+    assert target_wealth_factor(zero_pi, 4, 4, 4, p, expected_rate=0.0) == 1.0
+    p2 = TargetParams(r=0.02, delta=0.025, N=20)
     np.testing.assert_allclose(
-        target_wealth_factor(zero_pi, 2, 2, p2, expected_rate=0.0), 1.02**2, rtol=1e-14
+        target_wealth_factor(zero_pi, 2, 2, 4, p2, expected_rate=0.0), 1.02**2, rtol=1e-14
     )
 
 
 def test_target_wealth_factor_domain():
     pi = np.array([0.0, -0.5, 0.0])
-    p = TargetParams(r=-0.6, delta=0.025, N=20, T=2)
+    p = TargetParams(r=-0.6, delta=0.025, N=20)
     with pytest.raises(DomainError):
-        target_wealth_factor(pi, 0, 2, p, expected_rate=0.0)
+        target_wealth_factor(pi, 0, 2, 2, p, expected_rate=0.0)
 
 
 def test_cumulative_target_identity_case():
-    p = TargetParams(r=0.0, delta=0.025, N=20, T=3)
+    p = TargetParams(r=0.0, delta=0.025, N=20)
     got = cumulative_target(
-        np.zeros(4), [100.0], 0, p, M_t=p.m_tilde, m_tilde=p.m_tilde, expected_rate=0.0
+        np.zeros(4), [100.0], 0, 3, p, M_t=p.m_tilde, m_tilde=p.m_tilde, expected_rate=0.0
     )
     np.testing.assert_allclose(got, 100.0, rtol=1e-14)
 
 
 def test_cumulative_target_linearity_and_hand_sum():
-    p = TargetParams(r=0.02, delta=0.025, N=20, T=3)
+    p = TargetParams(r=0.02, delta=0.025, N=20)
     pi = np.array([0.0, 0.01, 0.0, 0.0])
     i_t = 0.015
     f0 = (1.0 + 0.02 + 0.01) * (1.0 + 0.02 + i_t) ** 2
     f1 = (1.0 + 0.02 + i_t) ** 2
     oracle = 2.0 * (100.0 * f0 + 50.0 * f1)
     got = cumulative_target(
-        pi, [100.0, 50.0], 1, p,
+        pi, [100.0, 50.0], 1, 3, p,
         M_t=2.0 * p.m_tilde, m_tilde=p.m_tilde, expected_rate=i_t,
     )
     np.testing.assert_allclose(got, oracle, rtol=1e-13)
     doubled = cumulative_target(
-        pi, [200.0, 100.0], 1, p,
+        pi, [200.0, 100.0], 1, 3, p,
         M_t=2.0 * p.m_tilde, m_tilde=p.m_tilde, expected_rate=i_t,
     )
     np.testing.assert_allclose(doubled, 2.0 * got, rtol=1e-14)
@@ -179,7 +177,7 @@ def test_compounded_matches_per_path_sum(years, flat):
 
 
 def test_target_frame_decomposes_into_tranches(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params(small_inputs.T))
+    frame = TargetFrame.build(small_inputs, _params())
     for t in (0, 5, small_inputs.T):
         np.testing.assert_allclose(
             frame.tranche_targets(t).sum(axis=1), frame.target_cum[:, t], rtol=1e-12
@@ -189,7 +187,7 @@ def test_target_frame_decomposes_into_tranches(small_inputs):
 def test_target_frame_factor_matches_scalar_function(small_inputs):
     # the kernel reads E_t F_tau through the tranche targets:
     # (M_t / M~) * c_tau * E_t F_tau per path
-    p = _params(small_inputs.T)
+    p = _params()
     frame = TargetFrame.build(small_inputs, p)
     pi = small_inputs.scenarios.pi
     rates = small_inputs.inflation.rates
@@ -197,14 +195,16 @@ def test_target_frame_factor_matches_scalar_function(small_inputs):
     for tau, t in ((0, 0), (2, 7), (5, small_inputs.T)):
         vec = frame.tranche_targets(t)[:, tau]
         for path in (0, 17, 201):
-            scale = frame.M[path, t] / frame.m_tilde
-            scalar = target_wealth_factor(pi[path], tau, t, p, expected_rate=rates[path, t])
+            scale = frame.M[path, t] / p.m_tilde
+            scalar = target_wealth_factor(
+                pi[path], tau, t, small_inputs.T, p, expected_rate=rates[path, t]
+            )
             np.testing.assert_allclose(vec[path], scale * c[path, tau] * scalar, rtol=1e-12)
 
 
 def test_tranche_targets_equal_strided_reference(small_inputs, default_inputs):
     for inputs in (small_inputs, default_inputs):
-        frame = TargetFrame.build(inputs, _params(inputs.T))
+        frame = TargetFrame.build(inputs, _params())
         for t in range(inputs.T + 1):
             got = frame.tranche_targets(t)
             assert got.shape == (inputs.n_paths, t + 1)
@@ -212,7 +212,7 @@ def test_tranche_targets_equal_strided_reference(small_inputs, default_inputs):
 
 
 def test_target_frame_cumulative_target_matches_scalar_formula(small_inputs):
-    p = _params(small_inputs.T)
+    p = _params()
     frame = TargetFrame.build(small_inputs, p)
     pi = small_inputs.scenarios.pi
     c = small_inputs.contributions
@@ -220,28 +220,30 @@ def test_target_frame_cumulative_target_matches_scalar_formula(small_inputs):
     T = small_inputs.T
     for path, t in ((0, 0), (17, T // 2), (201, T), (3, T)):
         scalar = cumulative_target(
-            pi[path], c[path], t, p, frame.M[path, t], p.m_tilde, rates[path, t]
+            pi[path], c[path], t, T, p, frame.M[path, t], p.m_tilde, rates[path, t]
         )
         np.testing.assert_allclose(frame.target_cum[path, t], scalar, rtol=1e-12)
 
 
 def test_target_frame_z0_identity(small_inputs):
-    p = _params(small_inputs.T)
+    p = _params()
     frame = TargetFrame.build(small_inputs, p)
     oracle = p.m_tilde / (frame.M[:, 0] * frame.growth_exp[:, 0])
     np.testing.assert_allclose(frame.z0(0), oracle, rtol=0, atol=0)
 
 
 def test_target_frame_horizon_mismatch(small_inputs):
-    # the estimators run the frame's input checks
+    # a target paid out over N = 10 years on M_t priced over N = 20 is refused,
+    # and the message names both; the estimators run the frame's input checks
+    assert small_inputs.annuity.N == 20
     for build in (TargetFrame.build, ReplacementEstimators):
-        with pytest.raises(ParameterError, match="prepared horizon"):
-            build(small_inputs, _params(small_inputs.T + 1))
+        with pytest.raises(ParameterError, match=r"params\.N=10 .* annuity N=20"):
+            build(small_inputs, TargetParams(r=0.02, N=10))
 
 
 def test_target_frame_requires_positive_growth(small_inputs):
     with pytest.raises(DomainError):
-        TargetFrame.build(small_inputs, _params(small_inputs.T, r=-0.99))
+        TargetFrame.build(small_inputs, _params(r=-0.99))
 
 
 def test_target_frame_checks_growth_in_build(small_inputs):
@@ -257,9 +259,9 @@ def test_target_frame_checks_growth_in_build(small_inputs):
     # the estimators run the same checks
     for build in (TargetFrame.build, ReplacementEstimators):
         with pytest.raises(DomainError, match="realized"):
-            build(small_inputs, _params(T, r=-1.0 - (realized + expected) / 2))
+            build(small_inputs, _params(r=-1.0 - (realized + expected) / 2))
         with pytest.raises(DomainError, match="expected"):
-            build(inputs, _params(T, r=-1.0 - expected - 0.005))
+            build(inputs, _params(r=-1.0 - expected - 0.005))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +332,7 @@ def test_one_pot_runs_equal_dense_reference(default_inputs, rule):
     inputs = default_inputs
     x, m, ages = inputs.scenarios.x, inputs.market.m, inputs.schedule.ages
     glide = GlidePath.bogle()
-    params = _params(inputs.T, r=0.03)
+    params = _params(r=0.03)
     target = TargetFrame.build(inputs, params).target_cum
     strategy, decide = {
         "static": (StaticMixStrategy(mix=0.37), lambda t, w, a: 0.37),
@@ -349,7 +351,7 @@ def test_one_pot_runs_equal_dense_reference(default_inputs, rule):
 
 
 def test_cumulative_run_alpha_matches_target_rule(small_inputs):
-    params = _params(small_inputs.T)
+    params = _params()
     frame = TargetFrame.build(small_inputs, params)
     outcome = CumulativeTargetStrategy(params).run(small_inputs)
     covered = outcome.wealth >= frame.target_cum
@@ -362,7 +364,7 @@ def test_cumulative_run_alpha_matches_target_rule(small_inputs):
 
 
 def test_individual_run_tranche_switches_once(small_inputs):
-    params = _params(small_inputs.T)
+    params = _params()
     outcome = IndividualTargetStrategy(params).run(small_inputs)
     ta = outcome.tranche_alpha
     assert ta.shape == (small_inputs.n_paths, small_inputs.T + 1, small_inputs.T + 1)
@@ -409,7 +411,7 @@ def test_tranche_record_holds_every_value_index(small_inputs, k):
 
 
 def test_individual_run_equals_dense_reference(small_inputs):
-    params = _params(small_inputs.T)
+    params = _params()
     frame = TargetFrame.build(small_inputs, params)
     absorbed = np.zeros((small_inputs.n_paths, small_inputs.T + 1), dtype=bool)
 
@@ -433,7 +435,7 @@ def test_tranche_run_builds_its_panels_on_first_read(small_inputs, monkeypatch, 
 
     replay = strategies._tranche_panels
     monkeypatch.setattr(strategies, "_tranche_panels", counted)
-    params = _params(small_inputs.T)
+    params = _params()
     if kind == "individual":
         strategy = IndividualTargetStrategy(params)
     else:
@@ -480,7 +482,7 @@ def test_long_horizon_tranche_run_equals_dense_reference(long_inputs, rule):
     # lengths at which numpy's own row sum would change its order
     n, T = long_inputs.n_paths, long_inputs.T
     if rule == "individual":
-        params = _params(T, r=0.03)
+        params = _params(r=0.03)
         frame = TargetFrame.build(long_inputs, params)
         absorbed = np.zeros((n, T + 1), dtype=bool)
 
@@ -509,7 +511,7 @@ def test_individual_run_memory_stays_below_dense_panel(default_inputs):
     import tracemalloc
 
     n, T = default_inputs.n_paths, default_inputs.T
-    strategy = IndividualTargetStrategy(_params(T))
+    strategy = IndividualTargetStrategy(_params())
     tracemalloc.start()
     try:
         outcome = strategy.run(default_inputs)
@@ -528,7 +530,7 @@ def test_tranche_rules_report_zero_alpha_without_wealth():
         annuity=AnnuitySpec(T=12, N=20),
         schedule=replace(default_schedule(), base_salary=10000.0),
     )
-    params, cfg = _params(12), DpConfig(curve_points=21)
+    params, cfg = _params(), DpConfig(curve_points=21)
     individual = IndividualTargetStrategy(params).run(inputs)
     empty = individual.wealth == 0
     assert empty[:, :10].all()
@@ -559,7 +561,7 @@ def test_target_rules_scale_with_monetary_units(small_inputs):
         schedule=replace(sched, base_salary=sched.base_salary * 10,
                          franchise=sched.franchise * 10),
     )
-    params = _params(small_inputs.T)
+    params = _params()
     for cls in (CumulativeTargetStrategy, IndividualTargetStrategy):
         base = cls(params).run(small_inputs)
         big = cls(params).run(scaled)
