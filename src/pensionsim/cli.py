@@ -9,8 +9,10 @@ key has a default (see ``--print-defaults``).  The ``model.*`` and ``dp.*``
 keys (``dp.mode`` aside) are the fields of
 :class:`~pensionsim.scenario.ModelParams` and
 :class:`~pensionsim.dp.DpConfig`, derived from the dataclasses with their
-defaults, so a field added there becomes a key here.  All runs are
-deterministic: the same config and seed produce byte-identical files.
+defaults, so a field added there becomes a key here.  ``scenario.file``
+rules out the generation keys but ``model.wage_spread``, which fills a
+missing ``w`` column.  All runs are deterministic: the same config and seed
+produce byte-identical files.
 ``--threads`` (config key ``threads``, 0 = every core this process may run
 on) sets the worker processes for the per-contribution tranche solves of the
 ``combination`` strategy and for the rows of ``frontier``; it never changes
@@ -187,7 +189,8 @@ def _validate(cfg: RunConfig) -> None:
     for key in _LEAST:
         _check_least(key, v[key])
     if v["scenario.file"]:
-        generation = [k for k in cfg.explicit if k.startswith("model.") or k in ("n_paths", "horizon")]
+        own = cfg.explicit - {"model.wage_spread"}  # ingest reads it for a missing w column
+        generation = [k for k in own if k.startswith("model.") or k in ("n_paths", "horizon")]
         if generation:
             raise ConfigError(
                 "exactly one scenario source: scenario.file conflicts with "

@@ -150,8 +150,6 @@ def _envelope(nodes: np.ndarray, curves: np.ndarray):
     its outermost node, beyond which the curves extend flat.
     """
     k, m = curves.shape
-    if m == 1 or k == 1:
-        return np.empty(0), np.array([int(np.argmax(curves[:, 0]))], dtype=np.int64)
     ia, ib = _pairs(k)
     d = curves[ia] - curves[ib]
     dl, dr = d[:, :-1], d[:, 1:]

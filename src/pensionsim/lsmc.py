@@ -166,13 +166,10 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         xs = x.take(order)
 
     win = _window_size(d, n)
-    if win < n:
-        # window-start boundaries: a query above (xs[s] + xs[s+k])/2 shifts
-        # the k-nearest window from start s to s+1
-        mids = (xs[: n - win] + xs[win:]) / 2.0
-        lo = np.searchsorted(mids, queries, side="left")
-    else:
-        lo = np.zeros(queries.shape, dtype=int)
+    # window-start boundaries: a query above (xs[s] + xs[s+k])/2 shifts the
+    # k-nearest window from start s to s+1; a window of all n has none
+    mids = (xs[: n - win] + xs[win:]) / 2.0
+    lo = np.searchsorted(mids, queries, side="left")
     xc = _windows(xs, win)[lo]
     xc -= queries[:, None]
     # u = dist / dk lies in [0, 1].  Where the k nearest points all coincide

@@ -13,21 +13,22 @@ into the matching portfolio permanently once its target has been reached.
 
 Wealth grows by one rule, ``_unit_growth``: alpha (1 + x) + (1 - alpha)
 (1 + m) per unit, which also grows :mod:`pensionsim.dp`'s ratios.  With the
-year's contribution added, it has two shapes.  ``_accumulate`` keeps one pot
-per path (static mixes, glide paths, the cumulative rule); ``_run_tranches``
-keeps one pot per contribution tranche, each at one of a few allocation
-values (the individual rule and the DP combination strategy).  Each runner
-only says how alpha is chosen.  Both kernels keep their state year-major,
-one contiguous row per year: the wealth and alpha panels, the tranche
-wealth laid out (tau, path), and the tranche index record as a
-(t, tau, path) triangle; callers see (path, year) and (path, tau) arrays
-through transposed views.  A tranche run keeps only its decisions and
-terminal wealth, and replays the record through the same yearly step
-(``_walk_tranches``) to build its panels on first read.  Every sum over a
-path's tranches (its wealth, its allocation weight) adds the rows of the
-(tau, path) block from 0.0 in birth order, tau = 0 first: Python's ``sum``.
-Flows compounded at a rate (``TargetFrame.acc``, the replacement ratio's
-indexed wage sum) run through one loop, ``_compounded``.
+year's contribution added, it has two shapes, and each kernel returns the
+``StrategyOutcome``.  ``_accumulate`` keeps one pot per path (static mixes,
+glide paths, the cumulative rule); ``_run_tranches`` keeps one pot per
+contribution tranche, each at one of a few allocation values (the
+individual rule and the DP combination strategy).  Each runner only says
+how alpha is chosen.  Both keep their state year-major, one contiguous row
+per year: the wealth and alpha panels, the tranche wealth laid out
+(tau, path), and the tranche index record as a (t, tau, path) triangle;
+callers see (path, year) and (path, tau) arrays through transposed views.
+The walk ``_walk_tranches`` yields each year's tranche wealth and index
+blocks: a run writes the indices, and the replay that builds its panels on
+first read reads them.  Every sum over a path's tranches (its wealth, its
+allocation weight) adds the (tau, path) rows from 0.0 in birth order,
+tau = 0 first: Python's ``sum``.  Flows compounded at a rate
+(``TargetFrame.acc``, the replacement ratio's indexed wage sum) run through
+one loop, ``_compounded``.
 """
 
 from __future__ import annotations
@@ -291,8 +292,8 @@ def _grown(wealth, alpha, x_t, m_t):
     return wealth * _unit_growth(alpha, x_t, m_t)[1]
 
 
-def _accumulate(inputs: SimulationInputs, decide):
-    """One pot per path: ``(wealth, alpha)`` panels of shape (n_paths, T + 1).
+def _accumulate(label: str, inputs: SimulationInputs, decide) -> StrategyOutcome:
+    """One pot per path, its ``wealth`` and ``alpha`` panels (n_paths, T + 1).
 
     The state is year-major: both panels are (n_paths, T + 1) views of
     (T + 1, n_paths) arrays, so each year writes one contiguous row.
@@ -308,18 +309,18 @@ def _accumulate(inputs: SimulationInputs, decide):
     for t in range(1, T + 1):
         wealth[t] = _grown(wealth[t - 1], alpha[t - 1], x[:, t], m[:, t]) + c[:, t]
         alpha[t] = decide(t, wealth[t], alpha[t - 1])
-    return wealth.T, alpha.T
+    return StrategyOutcome(label, wealth=wealth.T, alpha=alpha.T)
 
 
-def _walk_tranches(inputs: SimulationInputs, values, record, decide=None, visit=None):
+def _walk_tranches(inputs: SimulationInputs, values, record):
     """Grow one pot per contribution tranche, each year at one of ``values``.
 
-    The tranche wealth is laid out (tau, path) and ``record`` holds the
-    indices into ``values`` as a (t, tau, path) triangle.  Each year,
-    ``decide(t, live)`` (if given) writes the indices of the tranches born up
-    to t from their decision-time wealth ``live``, both (n_paths, t + 1).
-    ``visit(t, live, flat)`` (if given) sees the year's flat index, value *
-    n_paths + path, before it gathers next year's growth.  Returns year T's ``live``.
+    Yields ``(t, live, idx)`` for each year 0..T: the decision-time wealth of
+    the tranches born up to t and their indices into ``values``, both
+    (t + 1, n_paths) blocks of the (tau, path) tranche wealth and of
+    ``record``, which holds the indices as a (t, tau, path) triangle.  A
+    caller may write ``idx`` before it asks for the next year; the walk then
+    grows ``live`` by the one-year factor of each tranche's value.
     """
     T, n = inputs.T, inputs.n_paths
     x, m, c = inputs.scenarios.x, inputs.market.m, inputs.contributions
@@ -329,31 +330,29 @@ def _walk_tranches(inputs: SimulationInputs, values, record, decide=None, visit=
         live = tranche_wealth[: t + 1]
         idx = record[start : start + live.size].reshape(live.shape)
         start += idx.size
-        if decide is not None:
-            idx.T[...] = decide(t, live.T)
-        flat = np.multiply(idx, n, dtype=np.intp)
-        flat += paths
-        if visit is not None:
-            visit(t, live, flat)
+        yield t, live, idx
         if t < T:
-            # one unit's growth per (value, path); the take checks every index
+            # one unit's growth per (value, path) at value * n + path; the take checks every index
+            flat = np.multiply(idx, n, dtype=np.intp)
+            flat += paths
             live *= _grown(1.0, values[:, None], x[:, t + 1], m[:, t + 1]).take(flat)
+            del flat  # next year's caller runs without it
         elif idx.max() >= values.size:
             raise IndexError(f"allocation index {idx.max()} outside 0..{values.size - 1}")
-        del flat  # next year's decide runs without it
-    return tranche_wealth
 
 
 def _run_tranches(label: str, inputs: SimulationInputs, values, decide) -> StrategyOutcome:
     """One pot per contribution tranche, each held at one of ``values``.
 
-    ``decide`` is as in :func:`_walk_tranches`.  The outcome keeps the indices,
-    in the narrowest unsigned type that holds them, and the terminal wealth.
+    ``decide(t, live)`` returns the indices into ``values`` of the tranches born up to t
+    from their decision-time wealth ``live``, both (n_paths, t + 1).  The outcome keeps
+    the indices, in the narrowest unsigned type that holds them, and the terminal wealth.
     """
     T, n = inputs.T, inputs.n_paths
     values = np.asarray(values, dtype=float)
     record = np.empty(n * (T + 1) * (T + 2) // 2, dtype=np.min_scalar_type(values.size - 1))
-    live = _walk_tranches(inputs, values, record, decide=decide)
+    for t, live, idx in _walk_tranches(inputs, values, record):
+        idx.T[...] = decide(t, live.T)
     terminal = sum(live, np.zeros(n))
     return StrategyOutcome(label, tranches=(inputs, values, record), terminal_wealth=terminal)
 
@@ -365,18 +364,12 @@ def _tranche_panels(inputs: SimulationInputs, values, record):
     wealth-weighted tranche allocation, 0 where the path holds no wealth.
     """
     T, n = inputs.T, inputs.n_paths
-    table = np.repeat(values, n)  # the allocation per (value, path)
     wealth, alpha = np.empty((T + 1, n)), np.empty((T + 1, n))
-
-    def visit(t, live, flat):
-        held = table.take(flat)
-        held *= live
+    for t, live, idx in _walk_tranches(inputs, values, record):
         wealth[t] = sum(live, np.zeros(n))
-        weighted = sum(held, np.zeros(n))
+        weighted = sum(values.take(idx) * live, np.zeros(n))
         with np.errstate(invalid="ignore", divide="ignore"):
             alpha[t] = np.where(wealth[t] > 0, weighted / wealth[t], 0.0)
-
-    _walk_tranches(inputs, values, record, visit=visit)
     return wealth.T, alpha.T
 
 
@@ -398,8 +391,7 @@ class StaticMixStrategy:
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
         ages = inputs.schedule.ages
-        wealth, alpha = _accumulate(inputs, lambda t, w, a: static_step(self.mix, ages[t]))
-        return StrategyOutcome(label=self.label, wealth=wealth, alpha=alpha)
+        return _accumulate(self.label, inputs, lambda t, w, a: static_step(self.mix, ages[t]))
 
 
 @dataclass(frozen=True)
@@ -416,8 +408,7 @@ class CumulativeTargetStrategy:
         def decide(t, wealth_t, alpha_prev):
             return cumulative_step(wealth_t, target[:, t], alpha_prev, x[:, t], m[:, t], t)
 
-        wealth, alpha = _accumulate(inputs, decide)
-        return StrategyOutcome(label=self.label, wealth=wealth, alpha=alpha)
+        return _accumulate(self.label, inputs, decide)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pensionsim import ModelParams, SimulationInputs, simulate, z_step
+from pensionsim import ModelParams, SimulationInputs, TargetParams, ingest, simulate, z_step
 from pensionsim.errors import DomainError, ParameterError
 from pensionsim.lsmc import _loess_geometry
 from pensionsim.market import AnnuitySpec
@@ -22,6 +22,44 @@ def flat_params(mean_x=0.04, mean_pi=0.0, mean_level=0.0, wage_spread=0.0):
         std_slope=0.0,
         wage_spread=wage_spread,
     )
+
+
+# Reference career contributions in year-0 currency (ages 25..66), earned
+# with zero wage growth (ZERO_W).
+REFERENCE_CONTRIBUTION = np.array([
+    1270, 1339, 1409, 1482, 1558, 1887, 1979, 2073, 2171, 2272,
+    2731, 2813, 2897, 2982, 3070, 3670, 3775, 3883, 3993, 4104,
+    4844, 4911, 4978, 5047, 5116, 6026, 6108, 6190, 6274, 6358,
+    7476, 7476, 7476, 7476, 7476, 8863, 8863, 8863, 8863, 8863,
+    10019, 10019,
+], dtype=float)
+
+ZERO_W = np.zeros(42)
+
+
+def target_params(r=0.02):
+    """Target parameters at required real return ``r``, 20 payout years."""
+    return TargetParams(r=r, delta=0.025, N=20)
+
+
+def toy_inputs(tmp_path):
+    """Two paths, two decision years, zero inflation.
+
+    The year-0 curves differ across the paths so the initial ratios differ:
+    a policy that only sees the ratio can then tell the scenarios apart at
+    every decision time, which makes the per-scenario optimum attainable.
+    """
+    hdr = "path,t,x,pi," + ",".join(f"r{k}" for k in range(1, 31))
+    lines = [hdr]
+    for p, (xs, r0) in enumerate(
+        [((0.0, 0.30, 0.30), 0.05), ((0.0, -0.20, -0.20), 0.02)]
+    ):
+        for t, x in enumerate(xs):
+            rate = r0 if t == 0 else 0.02
+            lines.append(f"{p},{t},{x},0.0," + ",".join([f"{rate}"] * 30))
+    path = tmp_path / "toy.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return SimulationInputs.prepare(ingest(path), annuity=AnnuitySpec(T=2, N=20))
 
 
 def dense_accumulate(inputs, decide):

@@ -44,8 +44,8 @@ from pensionsim.strategies import (
     optimize_static_mix,
 )
 
-from test_career import REFERENCE_CONTRIBUTION, ZERO_W
-from test_dp import _params, _toy_inputs
+from conftest import REFERENCE_CONTRIBUTION, ZERO_W
+from conftest import target_params as _params, toy_inputs as _toy_inputs
 
 
 def test_01_contribution_table_within_one_euro():

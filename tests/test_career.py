@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import REFERENCE_CONTRIBUTION, ZERO_W
 from pensionsim import (
     CareerSchedule,
     contribution_path,
@@ -22,16 +23,6 @@ REFERENCE_SALARY = np.array([
     51658, 51658, 51658, 51658, 51658, 51658, 51658, 51658, 51658, 51658,
     51658, 51658,
 ], dtype=float)
-
-REFERENCE_CONTRIBUTION = np.array([
-    1270, 1339, 1409, 1482, 1558, 1887, 1979, 2073, 2171, 2272,
-    2731, 2813, 2897, 2982, 3070, 3670, 3775, 3883, 3993, 4104,
-    4844, 4911, 4978, 5047, 5116, 6026, 6108, 6190, 6274, 6358,
-    7476, 7476, 7476, 7476, 7476, 8863, 8863, 8863, 8863, 8863,
-    10019, 10019,
-], dtype=float)
-
-ZERO_W = np.zeros(42)
 
 
 def test_reference_salaries_within_one_unit():

@@ -182,6 +182,20 @@ def test_scenario_file_excludes_generation_keys(tmp_path):
         cli.parse_config(path)
 
 
+def test_scenario_file_takes_the_wage_spread(tmp_path):
+    # an ingested set without a w column fills it with pi + model.wage_spread
+    data = tmp_path / "scen.csv"
+    rows = ["path,t,x,pi," + ",".join(f"r{k}" for k in range(1, 31))]
+    for p in range(2):
+        for t in range(3):
+            rows.append(f"{p},{t},0.05,{0.01 * (p + t)}," + ",".join(["0.02"] * 30))
+    data.write_text("\n".join(rows) + "\n")
+    path = write_config(tmp_path, f"scenario.file = {data}\nmodel.wage_spread = 0.01\n")
+    scenarios = cli._build_scenarios(cli.parse_config(path), 0, 1)
+    assert scenarios.wage_spread == 0.01
+    np.testing.assert_array_equal(scenarios.w, scenarios.pi + 0.01)
+
+
 def test_scenario_file_must_exist(tmp_path):
     path = write_config(tmp_path, f"scenario.file = {tmp_path}/missing.csv\n")
     with pytest.raises(ConfigError, match="scenario.file not found"):

@@ -18,6 +18,8 @@ from conftest import (
     interp_choice,
     interp_replay,
     reference_envelope,
+    target_params,
+    toy_inputs,
 )
 from pensionsim import (
     CombinationStrategy,
@@ -30,10 +32,8 @@ from pensionsim import (
     SimulationInputs,
     StaticMixStrategy,
     TargetFrame,
-    TargetParams,
     evaluate_strategy,
     export_policy_csv,
-    ingest,
     simulate,
     solve_policy,
     utility_check,
@@ -45,10 +45,6 @@ from pensionsim.errors import DomainError, ParameterError
 from pensionsim.lsmc import _loess_geometry
 from pensionsim.market import AnnuitySpec
 from pensionsim.metrics import REPORT_COLUMNS
-
-
-def _params(r=0.02):
-    return TargetParams(r=r, delta=0.025, N=20)
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +122,9 @@ def test_z_step_validation():
 # solver vs exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _toy_inputs(tmp_path):
-    """Two paths, two decision years, zero inflation.
-
-    The year-0 curves differ across the paths so the initial ratios differ:
-    a policy that only sees the ratio can then tell the scenarios apart at
-    every decision time, which makes the per-scenario optimum attainable.
-    """
-    hdr = "path,t,x,pi," + ",".join(f"r{k}" for k in range(1, 31))
-    lines = [hdr]
-    for p, (xs, r0) in enumerate(
-        [((0.0, 0.30, 0.30), 0.05), ((0.0, -0.20, -0.20), 0.02)]
-    ):
-        for t, x in enumerate(xs):
-            rate = r0 if t == 0 else 0.02
-            lines.append(f"{p},{t},{x},0.0," + ",".join([f"{rate}"] * 30))
-    path = tmp_path / "toy.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return SimulationInputs.prepare(ingest(path), annuity=AnnuitySpec(T=2, N=20))
-
-
 def test_toy_policy_matches_enumeration(tmp_path):
-    inputs = _toy_inputs(tmp_path)
-    frame = TargetFrame.build(inputs, _params())
+    inputs = toy_inputs(tmp_path)
+    frame = TargetFrame.build(inputs, target_params())
     cfg = DpConfig(grid=(0.0, 1.0), iterations=3)
     policy = solve_policy(inputs, frame, cfg, tau=0)
 
@@ -177,7 +153,7 @@ def test_toy_policy_matches_enumeration(tmp_path):
 def test_solver_trace_improves_on_second_iteration(small_inputs):
     # the sweep is a heuristic and a later pass can lose ground (it does on
     # some seeds); on this fixture the second pass is no worse than the first
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     policy = solve_policy(small_inputs, frame, DpConfig(iterations=2), tau=0)
     trace = policy.utility_trace
     assert len(trace) == 2
@@ -185,7 +161,7 @@ def test_solver_trace_improves_on_second_iteration(small_inputs):
 
 
 def test_solver_is_deterministic(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     p1 = solve_policy(small_inputs, frame, tau=2)
     p2 = solve_policy(small_inputs, frame, tau=2)
     assert np.array_equal(p1.decisions, p2.decisions)
@@ -231,7 +207,7 @@ class _FullRolloutCheck(_Solver):
 def test_forward_pass_matches_full_rollout(small_inputs, monkeypatch):
     # a fit's regressor is untouched by its sweep, and each forward pass
     # leaves the full rollout of the decisions
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     want = solve_policy(small_inputs, frame, tau=0)
 
     def recorded(x, nodes, d, degree):
@@ -263,7 +239,7 @@ class _CountingSolver(_Solver):
 
 
 def _tranche_solver(inputs, cfg, tau, solver=_Solver):
-    frame = TargetFrame.build(inputs, _params())
+    frame = TargetFrame.build(inputs, target_params())
     factors = dp._step_factors(inputs, frame, cfg)
     return solver(frame.z0(tau), factors[tau + 1 : inputs.T + 1], cfg)
 
@@ -287,7 +263,7 @@ def test_decisions_match_einsum_loess_reference(monkeypatch):
     # arguments it rebuilds the fit from
     scenarios = simulate(ModelParams(), 400, 8, seed=23)
     inputs = SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=8, N=20))
-    frame = TargetFrame.build(inputs, _params(r=0.01))
+    frame = TargetFrame.build(inputs, target_params(r=0.01))
     got = solve_policy(inputs, frame, tau=0)
     monkeypatch.setattr(dp, "_loess_geometry", lambda *design: design)
     monkeypatch.setattr(dp, "_loess_apply", lambda design, u: einsum_loess(*design, u)[0])
@@ -303,7 +279,7 @@ def test_step_factors_are_year_major_z_steps_of_one_unit(small_inputs):
     # allocation, bit for bit, laid out (year, allocation, path)
     T, n = small_inputs.T, small_inputs.n_paths
     cfg = DpConfig()
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     factors = dp._step_factors(small_inputs, frame, cfg)
     assert factors.shape == (T + 1, len(cfg.grid), n) and factors.flags.c_contiguous
     x, m = small_inputs.scenarios.x, small_inputs.market.m
@@ -315,7 +291,7 @@ def test_step_factors_are_year_major_z_steps_of_one_unit(small_inputs):
 
 def test_solver_keeps_the_factor_slice_it_is_given(small_inputs):
     T = small_inputs.T
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     factors = dp._step_factors(small_inputs, frame, DpConfig())
     tranche = factors[3 : T + 1]
     solver = _Solver(frame.z0(2), tranche, DpConfig())
@@ -324,7 +300,7 @@ def test_solver_keeps_the_factor_slice_it_is_given(small_inputs):
 
 
 def test_solve_policy_validation(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     with pytest.raises(ParameterError):
         solve_policy(small_inputs, frame, tau=small_inputs.T)
     with pytest.raises(ParameterError):
@@ -366,7 +342,7 @@ def solved_policy(request, small_inputs):
     """A solved policy of the tranche born at tau = 0 or T - 3, LOESS degree 1 or 2."""
     tau, degree = request.param
     T = small_inputs.T
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     return solve_policy(small_inputs, frame, DpConfig(loess_degree=degree), tau=tau % T)
 
 
@@ -460,7 +436,7 @@ def test_envelope_matches_reference_in_a_solve(small_inputs, monkeypatch):
 
     monkeypatch.setattr(dp, "_envelope", checked)
     # every tranche solve, in this process
-    CombinationStrategy(_params(), threads=1).run(small_inputs)
+    CombinationStrategy(target_params(), threads=1).run(small_inputs)
     assert len(calls) > 100
 
 
@@ -521,7 +497,7 @@ def test_step_policy_count_matches_direct_count(breaks, drawn):
 
 
 def test_export_policy_csv_round_trips(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     policy = solve_policy(small_inputs, frame, tau=0)
     text = export_policy_csv(policy)
     lines = text.strip().splitlines()
@@ -536,7 +512,7 @@ def test_export_policy_csv_round_trips(small_inputs):
 
 
 def test_decision_table_is_the_argmax_of_the_curves_at_the_nodes(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     policy = solve_policy(small_inputs, frame, tau=0)
     expected = [
         (int(t), float(z), float(a))
@@ -558,7 +534,7 @@ def tiny_inputs():
 
 def test_combination_allocations_come_from_grid(tiny_inputs):
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
-    outcome = CombinationStrategy(_params(), cfg=cfg).run(tiny_inputs)
+    outcome = CombinationStrategy(target_params(), cfg=cfg).run(tiny_inputs)
     ta = outcome.tranche_alpha
     T = tiny_inputs.T
     assert np.all(ta[:, T, :] == 0.0)  # retirement converts every tranche
@@ -572,8 +548,8 @@ def test_combination_allocations_come_from_grid(tiny_inputs):
 
 def test_combination_runs_are_deterministic(tiny_inputs):
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
-    a = CombinationStrategy(_params(), cfg=cfg).run(tiny_inputs)
-    b = CombinationStrategy(_params(), cfg=cfg).run(tiny_inputs)
+    a = CombinationStrategy(target_params(), cfg=cfg).run(tiny_inputs)
+    b = CombinationStrategy(target_params(), cfg=cfg).run(tiny_inputs)
     assert np.array_equal(a.wealth, b.wealth)
     assert np.array_equal(a.alpha, b.alpha)
 
@@ -582,19 +558,19 @@ def test_combination_tranche_solves_are_thread_independent(small_inputs):
     # more workers than cores, so a lost or misplaced tranche result would
     # show as a mismatch
     a, b = (
-        CombinationStrategy(_params(), threads=threads).run(small_inputs)
+        CombinationStrategy(target_params(), threads=threads).run(small_inputs)
         for threads in (1, 3)
     )
     assert np.array_equal(a.wealth, b.wealth)
     assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.tranche_alpha, b.tranche_alpha, equal_nan=True)
     with pytest.raises(ParameterError):
-        CombinationStrategy(_params(), threads=0)
+        CombinationStrategy(target_params(), threads=0)
 
 
 def test_combination_shared_mode(tiny_inputs):
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
-    outcome = CombinationStrategy(_params(), cfg=cfg, mode="shared").run(tiny_inputs)
+    outcome = CombinationStrategy(target_params(), cfg=cfg, mode="shared").run(tiny_inputs)
     assert outcome.wealth.shape == (60, 9)
     assert (outcome.wealth[:, -1] > 0).all()
     assert np.isin(outcome.tranche_alpha[:, :8, 0][~np.isnan(outcome.tranche_alpha[:, :8, 0])], cfg.grid).all()
@@ -602,7 +578,7 @@ def test_combination_shared_mode(tiny_inputs):
 
 def test_combination_converts_at_T_on_a_grid_without_zero(tiny_inputs):
     cfg = DpConfig(grid=(0.2, 0.6, 1.0), curve_points=41)
-    outcome = CombinationStrategy(_params(), cfg=cfg).run(tiny_inputs)
+    outcome = CombinationStrategy(target_params(), cfg=cfg).run(tiny_inputs)
     T = tiny_inputs.T
     assert np.all(outcome.tranche_alpha[:, T, :] == 0.0)
     assert np.all(outcome.alpha[:, T] == 0.0)
@@ -610,11 +586,30 @@ def test_combination_converts_at_T_on_a_grid_without_zero(tiny_inputs):
 
 
 @pytest.mark.parametrize("mode", ["per-contribution", "shared"])
+def test_combination_on_a_one_allocation_grid(mode):
+    # with one allocation every step policy is a single region, so the run
+    # holds every tranche at that allocation: the static mix, tranche by tranche
+    scenarios = simulate(ModelParams(), 200, 10, seed=3)
+    inputs = SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=10, N=20))
+    cfg, T = DpConfig(grid=(0.5,), curve_points=21), inputs.T
+    outcome = CombinationStrategy(target_params(), cfg=cfg, mode=mode, threads=2).run(inputs)
+    born = np.tri(T + 1, dtype=bool)  # born[t, tau]: tau <= t
+    assert (outcome.tranche_alpha[:, :T][:, born[:T]] == 0.5).all()
+    assert (outcome.tranche_alpha[:, T] == 0.0).all()
+    static = StaticMixStrategy(0.5).run(inputs)
+    np.testing.assert_allclose(outcome.terminal_wealth, static.terminal_wealth, rtol=1e-12)
+    frame = TargetFrame.build(inputs, target_params())
+    for tau in range(T):
+        for step in solve_policy(inputs, frame, cfg, tau=tau).steps:
+            assert step.breaks.size == 0 and step.regions.tolist() == [0]
+
+
+@pytest.mark.parametrize("mode", ["per-contribution", "shared"])
 def test_combination_run_equals_dense_reference(small_inputs, mode):
     # the panel filled first, as the run once did, then grown densely
     T = small_inputs.T
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
-    params = _params()
+    params = target_params()
     frame = TargetFrame.build(small_inputs, params)
     grid = np.asarray(cfg.grid)
     full = np.full((small_inputs.n_paths, T + 1, T + 1), np.nan)
@@ -675,7 +670,7 @@ def test_permuting_paths_permutes_every_strategy():
     permuted = replace(scenarios, **{k: a[perm] for k, a in held.items() if np.ndim(a) > 1})
     assert np.array_equal(permuted.curves, scenarios.curves[perm])
     worlds = [SimulationInputs.prepare(s, annuity=AnnuitySpec(T=16, N=20)) for s in (scenarios, permuted)]
-    params = _params()
+    params = target_params()
     for strategy in _every_strategy(params, worlds[0]):
         a, b = (strategy.run(inputs) for inputs in worlds)
         # grid decisions match exactly; wealth and the pot's mix rest on the
@@ -701,7 +696,7 @@ def test_money_units_change_no_decision_and_no_report_statistic():
     )
     inputs7 = SimulationInputs.prepare(scenarios, schedule=scaled, annuity=annuity)
     np.testing.assert_allclose(inputs7.contributions, 7.0 * inputs.contributions, rtol=1e-12)
-    params = _params()
+    params = target_params()
     for strategy in _every_strategy(params, inputs):
         a, b = strategy.run(inputs), strategy.run(inputs7)
         if isinstance(strategy, CombinationStrategy):
@@ -712,7 +707,7 @@ def test_money_units_change_no_decision_and_no_report_statistic():
 def test_a_zero_volatility_world_gives_every_path_the_same_run(flat_inputs):
     # every path is the mean path, so every panel is one path repeated and
     # the DP, whose LOESS fits are all means, picks one allocation per step
-    params = _params(r=0.0)
+    params = target_params(r=0.0)
     for strategy in _every_strategy(params, flat_inputs):
         outcome = strategy.run(flat_inputs)
         panels = [outcome.wealth, outcome.alpha, outcome.terminal_wealth]
@@ -727,7 +722,7 @@ def test_a_zero_volatility_world_gives_every_path_the_same_run(flat_inputs):
 
 def test_combination_rejects_unknown_mode():
     with pytest.raises(ParameterError):
-        CombinationStrategy(_params(), mode="global")
+        CombinationStrategy(target_params(), mode="global")
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -736,7 +731,7 @@ def test_worker_tranches_equal_direct_solves(request, world, threads):
     inputs = request.getfixturevalue(world)
     T = inputs.T
     cfg = DpConfig(grid=(0.0, 0.5, 1.0), curve_points=41)
-    params = _params()
+    params = target_params()
     outcome = CombinationStrategy(params, cfg=cfg, threads=threads).run(inputs)
     frame = TargetFrame.build(inputs, params)
     grid = np.asarray(cfg.grid)
@@ -768,7 +763,7 @@ def test_failed_tranche_solve_raises_typed_and_leaves_no_worker(tiny_inputs, mon
     _fail_solves(monkeypatch, tiny_inputs.T, which)
     for threads in (1, 3):
         with pytest.raises(DomainError, match="injected failure"):
-            CombinationStrategy(_params(), cfg=cfg, threads=threads).run(tiny_inputs)
+            CombinationStrategy(target_params(), cfg=cfg, threads=threads).run(tiny_inputs)
         assert multiprocessing.active_children() == []
 
 

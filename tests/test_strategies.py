@@ -14,6 +14,7 @@ from conftest import (
     flat_params,
     interp_replay,
     reference_tranche_targets,
+    target_params,
     target_wealth_factor,
 )
 from pensionsim import (
@@ -43,10 +44,6 @@ from pensionsim.market import AnnuitySpec
 from pensionsim.strategies import _compounded, _run_tranches
 
 
-def _params(r=0.02):
-    return TargetParams(r=r, delta=0.025, N=20)
-
-
 # ---------------------------------------------------------------------------
 # parameters and glide paths
 # ---------------------------------------------------------------------------
@@ -61,7 +58,7 @@ def test_target_params_validation():
 
 
 def test_target_params_annuity_factor():
-    p = _params()
+    p = target_params()
     np.testing.assert_allclose(
         p.m_tilde, post_retirement_factor(0.025, 20), rtol=0, atol=0
     )
@@ -177,7 +174,7 @@ def test_compounded_matches_per_path_sum(years, flat):
 
 
 def test_target_frame_decomposes_into_tranches(small_inputs):
-    frame = TargetFrame.build(small_inputs, _params())
+    frame = TargetFrame.build(small_inputs, target_params())
     for t in (0, 5, small_inputs.T):
         np.testing.assert_allclose(
             frame.tranche_targets(t).sum(axis=1), frame.target_cum[:, t], rtol=1e-12
@@ -187,7 +184,7 @@ def test_target_frame_decomposes_into_tranches(small_inputs):
 def test_target_frame_factor_matches_scalar_function(small_inputs):
     # the kernel reads E_t F_tau through the tranche targets:
     # (M_t / M~) * c_tau * E_t F_tau per path
-    p = _params()
+    p = target_params()
     frame = TargetFrame.build(small_inputs, p)
     pi = small_inputs.scenarios.pi
     rates = small_inputs.inflation.rates
@@ -204,7 +201,7 @@ def test_target_frame_factor_matches_scalar_function(small_inputs):
 
 def test_tranche_targets_equal_strided_reference(small_inputs, default_inputs):
     for inputs in (small_inputs, default_inputs):
-        frame = TargetFrame.build(inputs, _params())
+        frame = TargetFrame.build(inputs, target_params())
         for t in range(inputs.T + 1):
             got = frame.tranche_targets(t)
             assert got.shape == (inputs.n_paths, t + 1)
@@ -212,7 +209,7 @@ def test_tranche_targets_equal_strided_reference(small_inputs, default_inputs):
 
 
 def test_target_frame_cumulative_target_matches_scalar_formula(small_inputs):
-    p = _params()
+    p = target_params()
     frame = TargetFrame.build(small_inputs, p)
     pi = small_inputs.scenarios.pi
     c = small_inputs.contributions
@@ -226,7 +223,7 @@ def test_target_frame_cumulative_target_matches_scalar_formula(small_inputs):
 
 
 def test_target_frame_z0_identity(small_inputs):
-    p = _params()
+    p = target_params()
     frame = TargetFrame.build(small_inputs, p)
     oracle = p.m_tilde / (frame.M[:, 0] * frame.growth_exp[:, 0])
     np.testing.assert_allclose(frame.z0(0), oracle, rtol=0, atol=0)
@@ -243,7 +240,7 @@ def test_target_frame_horizon_mismatch(small_inputs):
 
 def test_target_frame_requires_positive_growth(small_inputs):
     with pytest.raises(DomainError):
-        TargetFrame.build(small_inputs, _params(r=-0.99))
+        TargetFrame.build(small_inputs, target_params(r=-0.99))
 
 
 def test_target_frame_checks_growth_in_build(small_inputs):
@@ -259,9 +256,9 @@ def test_target_frame_checks_growth_in_build(small_inputs):
     # the estimators run the same checks
     for build in (TargetFrame.build, ReplacementEstimators):
         with pytest.raises(DomainError, match="realized"):
-            build(small_inputs, _params(r=-1.0 - (realized + expected) / 2))
+            build(small_inputs, target_params(r=-1.0 - (realized + expected) / 2))
         with pytest.raises(DomainError, match="expected"):
-            build(inputs, _params(r=-1.0 - expected - 0.005))
+            build(inputs, target_params(r=-1.0 - expected - 0.005))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +329,7 @@ def test_one_pot_runs_equal_dense_reference(default_inputs, rule):
     inputs = default_inputs
     x, m, ages = inputs.scenarios.x, inputs.market.m, inputs.schedule.ages
     glide = GlidePath.bogle()
-    params = _params(r=0.03)
+    params = target_params(r=0.03)
     target = TargetFrame.build(inputs, params).target_cum
     strategy, decide = {
         "static": (StaticMixStrategy(mix=0.37), lambda t, w, a: 0.37),
@@ -351,7 +348,7 @@ def test_one_pot_runs_equal_dense_reference(default_inputs, rule):
 
 
 def test_cumulative_run_alpha_matches_target_rule(small_inputs):
-    params = _params()
+    params = target_params()
     frame = TargetFrame.build(small_inputs, params)
     outcome = CumulativeTargetStrategy(params).run(small_inputs)
     covered = outcome.wealth >= frame.target_cum
@@ -364,7 +361,7 @@ def test_cumulative_run_alpha_matches_target_rule(small_inputs):
 
 
 def test_individual_run_tranche_switches_once(small_inputs):
-    params = _params()
+    params = target_params()
     outcome = IndividualTargetStrategy(params).run(small_inputs)
     ta = outcome.tranche_alpha
     assert ta.shape == (small_inputs.n_paths, small_inputs.T + 1, small_inputs.T + 1)
@@ -411,7 +408,7 @@ def test_tranche_record_holds_every_value_index(small_inputs, k):
 
 
 def test_individual_run_equals_dense_reference(small_inputs):
-    params = _params()
+    params = target_params()
     frame = TargetFrame.build(small_inputs, params)
     absorbed = np.zeros((small_inputs.n_paths, small_inputs.T + 1), dtype=bool)
 
@@ -435,7 +432,7 @@ def test_tranche_run_builds_its_panels_on_first_read(small_inputs, monkeypatch, 
 
     replay = strategies._tranche_panels
     monkeypatch.setattr(strategies, "_tranche_panels", counted)
-    params = _params()
+    params = target_params()
     if kind == "individual":
         strategy = IndividualTargetStrategy(params)
     else:
@@ -482,7 +479,7 @@ def test_long_horizon_tranche_run_equals_dense_reference(long_inputs, rule):
     # lengths at which numpy's own row sum would change its order
     n, T = long_inputs.n_paths, long_inputs.T
     if rule == "individual":
-        params = _params(r=0.03)
+        params = target_params(r=0.03)
         frame = TargetFrame.build(long_inputs, params)
         absorbed = np.zeros((n, T + 1), dtype=bool)
 
@@ -511,7 +508,7 @@ def test_individual_run_memory_stays_below_dense_panel(default_inputs):
     import tracemalloc
 
     n, T = default_inputs.n_paths, default_inputs.T
-    strategy = IndividualTargetStrategy(_params())
+    strategy = IndividualTargetStrategy(target_params())
     tracemalloc.start()
     try:
         outcome = strategy.run(default_inputs)
@@ -530,7 +527,7 @@ def test_tranche_rules_report_zero_alpha_without_wealth():
         annuity=AnnuitySpec(T=12, N=20),
         schedule=replace(default_schedule(), base_salary=10000.0),
     )
-    params, cfg = _params(), DpConfig(curve_points=21)
+    params, cfg = target_params(), DpConfig(curve_points=21)
     individual = IndividualTargetStrategy(params).run(inputs)
     empty = individual.wealth == 0
     assert empty[:, :10].all()
@@ -561,7 +558,7 @@ def test_target_rules_scale_with_monetary_units(small_inputs):
         schedule=replace(sched, base_salary=sched.base_salary * 10,
                          franchise=sched.franchise * 10),
     )
-    params = _params()
+    params = target_params()
     for cls in (CumulativeTargetStrategy, IndividualTargetStrategy):
         base = cls(params).run(small_inputs)
         big = cls(params).run(scaled)
