@@ -34,7 +34,7 @@ from .dp import CombinationStrategy, DpConfig, export_policy_csv, solve_policy
 from .engine import SimulationInputs
 from .errors import ConfigError, DomainError, EngineError, EstimatorError
 from .market import AnnuitySpec
-from .metrics import REPORT_COLUMNS, evaluate_strategy, frontier
+from .metrics import _FRONTIER_FAMILIES, REPORT_COLUMNS, evaluate_strategy, frontier
 from .scenario import ModelParams, export_csv, ingest, simulate, summarize
 from .strategies import (
     CumulativeTargetStrategy,
@@ -408,9 +408,17 @@ def run(cfg: RunConfig, subcommand: str, out_dir: str = ".", seed=None, threads=
             )
             _write_text(outputs.path("dp_trace.csv"), trace)
         elif subcommand == "frontier":
-            inputs = _build_inputs(cfg, seed, threads)
             names = [tok.strip() for tok in v["frontier.families"].split(",") if tok.strip()]
-            # mixes for static, required returns for any other name (``frontier`` checks it)
+            if not names:
+                raise ConfigError("frontier.families must list at least one family")
+            for name in names:
+                if name not in _FRONTIER_FAMILIES:
+                    raise ConfigError(
+                        f"frontier.families: unknown frontier family {name!r}; "
+                        f"known: {', '.join(_FRONTIER_FAMILIES)}"
+                    )
+            inputs = _build_inputs(cfg, seed, threads)
+            # mixes for static, required returns for the target families
             mixes = _grid(0.0, 1.0, v["frontier.mix_step"]).round(12)
             returns = _grid(v["frontier.r_min"], v["frontier.r_max"], v["frontier.r_step"]).round(12)
             families = {name: mixes if name == "static" else returns for name in names}

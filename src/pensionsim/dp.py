@@ -9,8 +9,8 @@ every path all in equity.  A sweep fits the decision times last first: each
 fit forces every grid allocation at its step, follows the step policies
 fitted above it to T, and estimates expected terminal utility given Z by
 regressing the realized utilities on Z with the LOESS of :mod:`pensionsim.lsmc`
-on ``curve_points`` evenly spaced nodes: its design fixes each node's fit as a
-coefficient row, and one apply fits every allocation's curve.  Then one
+on ``curve_points`` evenly spaced nodes: one call fits every allocation's curve
+on the same windows, weights and coefficient rows.  Then one
 forward pass re-decides every step from its step policy and rolls the ratios
 on.  One initial sweep is followed by ``iterations`` traced ones.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .engine import SimulationInputs, _fan_out
 from .errors import DomainError, ParameterError
-from .lsmc import _loess_apply, _loess_geometry
+from .lsmc import _loess
 from .strategies import StrategyOutcome, TargetFrame, TargetParams, _grown, _run_tranches
 
 __all__ = [
@@ -346,7 +346,7 @@ class _Solver:
         lo, hi = float(zs.min()), float(zs.max())
         nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
         self.z_nodes[s] = nodes
-        self.curves[s] = _loess_apply(_loess_geometry(zs, nodes, cfg.loess_d, cfg.loess_degree), u)
+        self.curves[s] = _loess(zs, nodes, cfg.loess_d, cfg.loess_degree, u)
         self._env[s] = _StepPolicy(*_envelope(nodes, self.curves[s]), self.n)
 
     def solve(self) -> None:

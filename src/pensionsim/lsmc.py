@@ -8,16 +8,15 @@ nested simulation:
   step); the inflation table and the market-factor estimate both fit it.
 * :class:`LoessModel` / :func:`loess_eval` — local weighted polynomial
   regression with tri-cube weights over the ``k = ceil(d*n)`` nearest
-  neighbours of the query point.  The fit is split into a design step
-  (``_loess_geometry``: for given training abscissae and query points, the
-  sort, windows and weights, and each query's fit rule, nearest value,
-  mean, line or quadratic, settled as one coefficient row) and an apply
-  step (``_loess_apply``: a batch of response rows on that design, each
-  window read as one contiguous block of the responses sorted path-major,
-  every window's moment sums taken by one batched matmul and contracted
-  with its query's coefficient row).  This is the package's only LOESS;
-  the dynamic-programming solver fits its expected-utility curves with the
-  same two steps.
+  neighbours of the query point.  One call, ``_loess``, fits a batch of
+  response rows on shared training abscissae: the sort, windows and weights
+  and each query's fit rule (nearest value, mean, line or quadratic, settled
+  as one coefficient row) depend only on the abscissae and the queries, and
+  every row's fit then reads each window as one contiguous block of the
+  responses sorted path-major, takes every window's moment sums by one
+  batched matmul and contracts them with its query's coefficient row.  This
+  is the package's only LOESS; the dynamic-programming solver fits its
+  expected-utility curves with the same call.
 * :class:`InflationEstimator` — the per-(path, year) table of expected
   annual inflation, one cumulative-inflation cross-sectional line fit per
   observation year.
@@ -107,35 +106,6 @@ def _window_size(d: float, n: int) -> int:
     return min(max(ceil_int(d * n), 1), n)
 
 
-@dataclass
-class _LoessDesign:
-    """A LOESS design: everything a fit needs that depends only on the
-    training abscissae and the query points, its fit rule included, so a
-    batch of response rows is fitted without redoing the sort, window
-    search, tri-cube weights and normal-equation coefficients per row.
-
-    The neighbours of query i are the ``win`` training points
-    ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae (ties in
-    input order) and every window is a contiguous run of the sorted sample,
-    so the apply step sorts the responses once and reads each window as a
-    slice.  ``ws[i, j]`` holds the weight of window point j and that weight
-    times its centred abscissa (and times its square at degree 2): the
-    columns of one (window, moment) matrix per query.  ``coef[i]`` is the
-    first row of the inverse of query i's local normal equations for the
-    fit it takes, so its fitted value is ``coef[i]`` dotted with its
-    response moment sums.  ``mean_only`` marks a sample with one distinct
-    abscissa, where every fit is the mean and nothing else is built.
-    """
-
-    n_queries: int
-    mean_only: bool = False
-    order: np.ndarray | None = None
-    lo: np.ndarray | None = None
-    win: int = 0
-    ws: np.ndarray | None = None
-    coef: np.ndarray | None = None
-
-
 def _windows(rows: np.ndarray, win: int) -> np.ndarray:
     """``sliding_window_view`` of C-contiguous ``rows`` over its first axis,
     shape (start, win, *rest), at a fraction of the call cost; the
@@ -144,13 +114,26 @@ def _windows(rows: np.ndarray, win: int) -> np.ndarray:
     return np.ndarray(shape, rows.dtype, rows, 0, rows.strides[:1] + rows.strides)
 
 
-def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -> _LoessDesign:
-    """Sort, windows, tri-cube weights and fit rule of a LOESS design.
+def _loess(
+    x: np.ndarray, queries: np.ndarray, d: float, degree: int, responses: np.ndarray
+) -> np.ndarray:
+    """LOESS fits of every response row at every query point.
 
-    ``x`` holds the n training abscissae and ``queries`` the points the fit
-    is evaluated at; ``d`` and ``degree`` are as in :class:`LoessModel`.
-    Each query takes the local quadratic (degree 2) or line where its
-    support and local design allow it, and the weighted mean otherwise.
+    ``x`` holds the n training abscissae, ``queries`` the points the fit is
+    evaluated at and ``responses`` one row per fit and one column per
+    training point; ``d`` and ``degree`` are as in :class:`LoessModel`.  The
+    result has one row per fit and one column per query.  Each query takes
+    the local quadratic (degree 2) or line where its support and local
+    design allow it, and the weighted mean otherwise.
+
+    The neighbours of query i are the ``win`` training points
+    ``order[lo[i] : lo[i] + win]``: ``order`` sorts the abscissae and every
+    window is a contiguous run of the sorted sample.  ``ws[i, j]`` holds the
+    weight of window point j and that weight times its centred abscissa (and
+    times its square at degree 2): the columns of one (window, moment)
+    matrix per query.  ``coef[i]`` is the first row of the inverse of query
+    i's local normal equations for the fit it takes, so its fitted value is
+    ``coef[i]`` dotted with its response moment sums.
     """
     n = x.shape[0]
     # ties are ordered as a stable sort orders them, since the windows and
@@ -160,7 +143,7 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
     xs = x.take(order)
     if n < 2 or xs[0] == xs[-1]:
         # one distinct training abscissa: every fit degenerates to the mean
-        return _LoessDesign(n_queries=queries.shape[0], mean_only=True)
+        return np.repeat(responses.mean(axis=1)[:, None], queries.shape[0], axis=1)
     if (xs[1:] == xs[:-1]).any():
         order = np.argsort(x, kind="stable")
         xs = x.take(order)
@@ -212,25 +195,17 @@ def _loess_geometry(x: np.ndarray, queries: np.ndarray, d: float, degree: int) -
         det2 = s0 * c22 - s1 * c12 + s2 * c11
         ok2 = (npos >= 3) & (det2 > 1e-10 * s0 * s2 * s4)
         np.divide((c22, -c12, c11), det2, out=coef.T, where=ok2)
-    return _LoessDesign(queries.shape[0], False, order, lo, win, ws, coef)
-
-
-def _loess_apply(design: _LoessDesign, responses: np.ndarray) -> np.ndarray:
-    """Fit each response row on a prepared design.
-
-    ``responses`` has one row per fit and one column per training point;
-    the result has one row per fit and one column per query point.
-    """
-    if design.mean_only:
-        return np.repeat(responses.mean(axis=1)[:, None], design.n_queries, axis=1)
+    # locals live until the return: without this the window gather would
+    # hold two (query, window) arrays more at its peak
+    del xc, u
     # responses sorted path-major make each query's window one contiguous
     # (window, response) block; its transpose, a layout BLAS reads as is,
     # times the query's (window, moment) weights, one batched matmul, gives
     # every moment sum t[i, r, j] of every response row r at every query i;
     # each query's coefficients turn its sums into its fitted value
-    yw = _windows(responses.T.take(design.order, axis=0), design.win)[design.lo]
-    t = np.matmul(yw.transpose(0, 2, 1), design.ws)
-    return np.einsum("irj,ij->ri", t, design.coef)
+    yw = _windows(responses.T.take(order, axis=0), win)[lo]
+    t = np.matmul(yw.transpose(0, 2, 1), ws)
+    return np.einsum("irj,ij->ri", t, coef)
 
 
 class LoessModel:
@@ -270,8 +245,7 @@ def loess_batch(model: LoessModel, queries) -> np.ndarray:
     q = np.asarray(queries, dtype=float).ravel()
     if not np.all(np.isfinite(q)):
         raise DomainError("query points must be finite")
-    design = _loess_geometry(model._x, q, model.d, model.degree)
-    return _loess_apply(design, model._y[None, :])[0]
+    return _loess(model._x, q, model.d, model.degree, model._y[None, :])[0]
 
 
 def loess_eval(model: LoessModel, x: float) -> float:

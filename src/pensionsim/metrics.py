@@ -286,6 +286,8 @@ def frontier(
     that order on ``threads`` workers of :func:`~pensionsim.engine._fan_out`,
     each row's strategy built here first; the cheap static rows come last.
     """
+    if not families:
+        raise ParameterError("frontier needs at least one family")
     specs = []
     for family in sorted(families):
         if family not in _FRONTIER_FAMILIES:

@@ -5,7 +5,7 @@ import pytest
 
 from pensionsim import ModelParams, SimulationInputs, TargetParams, ingest, simulate, z_step
 from pensionsim.errors import DomainError, ParameterError
-from pensionsim.lsmc import _loess_geometry
+from pensionsim.lsmc import _window_size
 from pensionsim.market import AnnuitySpec
 
 
@@ -210,17 +210,22 @@ def einsum_loess(x, queries, d, degree, responses):
     """Reference LOESS in moment form: ``(fits, none)``, the fits of every
     response row at every query and the mask of queries without support.
 
-    Takes each query's window from the package's design (``order``, ``lo``,
-    ``win``) and recomputes the rest itself: tri-cube weights, moment sums
-    term by term with einsum, the local determinants and each query's
-    choice of nearest value, mean, line or quadratic.  Returns the package's
-    fits up to rounding, and its copied nearest values exactly.
+    Picks each query's window itself: the k = ceil(d * n) training points
+    from the start s that counts the window midpoints
+    ``(xs[s] + xs[s + k]) / 2`` below the query, on a stable sort ``xs``.
+    It recomputes the rest too: tri-cube weights, moment sums term by term
+    with einsum, the local determinants and each query's choice of nearest
+    value, mean, line or quadratic.  Returns the package's fits up to
+    rounding, and its copied nearest values exactly.
     """
-    design = _loess_geometry(x, queries, d, degree)
     m = queries.shape[0]
-    if design.mean_only:
+    if np.ptp(x) == 0.0:
         return np.repeat(responses.mean(axis=1)[:, None], m, axis=1), np.zeros(m, dtype=bool)
-    idx = design.order[design.lo[:, None] + np.arange(design.win)]
+    n, k = x.shape[0], _window_size(d, x.shape[0])
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.count_nonzero((xs[: n - k] + xs[k:]) / 2.0 < queries[:, None], axis=1)
+    idx = order[starts[:, None] + np.arange(k)]
     xc = x[idx] - queries[:, None]
     yw = responses[:, idx]
     dist = np.abs(xc)

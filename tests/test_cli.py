@@ -5,6 +5,7 @@ and written files can be checked exactly; one test exercises the installed
 ``python -m pensionsim`` entry point.
 """
 
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from pensionsim import DpConfig, IndividualTargetStrategy, ModelParams, cli
+from pensionsim import DpConfig, IndividualTargetStrategy, ModelParams, cli, export_csv, simulate
 from pensionsim.errors import ConfigError, DomainError
 
 # small, fast setup shared by most runs: 10-year horizon, few paths
@@ -93,6 +94,22 @@ def test_unknown_key_reports_file_and_line(tmp_path):
     path = write_config(tmp_path, "seed = 1\nbogus = 2\n")
     with pytest.raises(ConfigError, match=r"run\.cfg:2.*unknown key 'bogus'"):
         cli.parse_config(path)
+
+
+def test_output_sha_tool_configs_parse(tmp_path):
+    # every command of tools/output_shas.py names a subcommand and writes a
+    # config that parses, so a renamed or removed key fails here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "output_shas.py")
+    spec = importlib.util.spec_from_file_location("output_shas", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    csv = str(tmp_path / "scenarios.csv")
+    export_csv(simulate(ModelParams(), 4, 3, 0), csv)
+    assert tool.COMMANDS
+    for i, (label, subs, keys, *_) in enumerate(tool.COMMANDS):
+        assert set(subs.split()) <= set(cli.SUBCOMMANDS), label
+        cfg = cli.parse_config(tool.write_config(str(tmp_path / f"{i}.cfg"), keys, csv))
+        assert cfg.explicit == set(keys), label
 
 
 def test_type_mismatch_reports_expectation(tmp_path):
@@ -576,6 +593,26 @@ def test_frontier_unknown_family_exits_1(tmp_path, capsys):
     assert cli.main(["frontier", "--config", cfg, "--out", out]) == 1
     assert "unknown frontier family" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("families", ["", ","])
+def test_frontier_empty_family_list_exits_1(tmp_path, capsys, families):
+    cfg = write_config(tmp_path, SMALL + f"frontier.families = {families}\n")
+    out = str(tmp_path / "fre")
+    assert cli.main(["frontier", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: frontier.families must list at least one family\n"
+    assert os.listdir(out) == []
+
+
+def test_frontier_family_names_fail_before_any_scenario(tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("scenarios simulated before the families were checked")
+
+    monkeypatch.setattr(cli, "simulate", unreachable)
+    cfg = cli.parse_config(write_config(tmp_path, SMALL + "frontier.families = static,mystery\n"))
+    with pytest.raises(ConfigError, match="frontier.families: unknown frontier family 'mystery'"):
+        cli.run(cfg, "frontier", str(tmp_path / "frx"))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from pensionsim import (
 from pensionsim import cli, dp
 from pensionsim.dp import _envelope, _Solver, _StepPolicy
 from pensionsim.errors import DomainError, ParameterError
-from pensionsim.lsmc import _loess_geometry
+from pensionsim.lsmc import _loess
 from pensionsim.market import AnnuitySpec
 from pensionsim.metrics import REPORT_COLUMNS
 
@@ -172,11 +172,11 @@ def test_solver_is_deterministic(small_inputs):
 
 class _FullRolloutCheck(_Solver):
     """Solver that checks every forward pass: each fit since the last one
-    used a LOESS design equal to a fresh one on the ratios that pass left,
-    and afterwards the ratios equal a full rollout of the decisions from z0.
+    equals a fresh LOESS fit on the ratios that pass left, and afterwards
+    the ratios equal a full rollout of the decisions from z0.
 
-    ``built`` collects ``(x, nodes, design)`` of every ``_loess_geometry``
-    call, the regressor copied as the fit saw it.
+    ``built`` collects ``(x, nodes, responses, fits)`` of every ``_loess``
+    call, the regressor and responses copied as the fit saw them.
     """
 
     built: list = []
@@ -186,14 +186,13 @@ class _FullRolloutCheck(_Solver):
         cfg = self.cfg
         # none before the start's pass, then one per step, last step first
         assert len(self.built) == (self.nd if _FullRolloutCheck.passes else 0)
-        for s, (x, nodes, design) in zip(range(self.nd - 1, -1, -1), self.built):
+        for s, (x, nodes, responses, fits) in zip(range(self.nd - 1, -1, -1), self.built):
             assert np.array_equal(x, self.z[s])
             lo, hi = x.min(), x.max()
             want_nodes = np.linspace(lo, hi, cfg.curve_points) if lo < hi else np.array([lo])
-            want = _loess_geometry(x, want_nodes, cfg.loess_d, cfg.loess_degree)
+            want = _loess(x, want_nodes, cfg.loess_d, cfg.loess_degree, responses)
             assert np.array_equal(nodes, want_nodes)
-            for name in ("order", "lo", "ws", "coef"):
-                assert np.array_equal(getattr(design, name), getattr(want, name))
+            assert np.array_equal(fits, want)
         self.built.clear()
         super()._forward()
         full = np.empty_like(self.z)
@@ -210,12 +209,12 @@ def test_forward_pass_matches_full_rollout(small_inputs, monkeypatch):
     frame = TargetFrame.build(small_inputs, target_params())
     want = solve_policy(small_inputs, frame, tau=0)
 
-    def recorded(x, nodes, d, degree):
-        design = _loess_geometry(x, nodes, d, degree)
-        _FullRolloutCheck.built.append((x.copy(), nodes, design))
-        return design
+    def recorded(x, nodes, d, degree, responses):
+        fits = _loess(x, nodes, d, degree, responses)
+        _FullRolloutCheck.built.append((x.copy(), nodes, responses.copy(), fits))
+        return fits
 
-    monkeypatch.setattr(dp, "_loess_geometry", recorded)
+    monkeypatch.setattr(dp, "_loess", recorded)
     monkeypatch.setattr(dp, "_Solver", _FullRolloutCheck)
     monkeypatch.setattr(_FullRolloutCheck, "built", [])
     monkeypatch.setattr(_FullRolloutCheck, "passes", 0)
@@ -258,15 +257,13 @@ def test_each_sweep_fits_every_step_once_last_first(small_inputs, nd, iterations
 
 
 def test_decisions_match_einsum_loess_reference(monkeypatch):
-    # the design's coefficient rows and the batched-matmul apply move only
-    # the last bits of the fitted curves; the reference's "design" is the
-    # arguments it rebuilds the fit from
+    # the coefficient rows and the batched matmul move only the last bits of
+    # the fitted curves
     scenarios = simulate(ModelParams(), 400, 8, seed=23)
     inputs = SimulationInputs.prepare(scenarios, annuity=AnnuitySpec(T=8, N=20))
     frame = TargetFrame.build(inputs, target_params(r=0.01))
     got = solve_policy(inputs, frame, tau=0)
-    monkeypatch.setattr(dp, "_loess_geometry", lambda *design: design)
-    monkeypatch.setattr(dp, "_loess_apply", lambda design, u: einsum_loess(*design, u)[0])
+    monkeypatch.setattr(dp, "_loess", lambda *fit: einsum_loess(*fit)[0])
     want = solve_policy(inputs, frame, tau=0)
     assert np.array_equal(got.decisions, want.decisions)
     assert np.array_equal(got.z_path, want.z_path)

@@ -19,7 +19,7 @@ from pensionsim import (
     tricube_weight,
 )
 from pensionsim.errors import DomainError, EngineError, ParameterError
-from pensionsim.lsmc import _loess_apply, _loess_geometry
+from pensionsim.lsmc import _loess
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +195,12 @@ def test_loess_apply_rows_match_single_fits(d, degree):
     x = rng.integers(0, 12, 40) / 4.0
     ys = rng.normal(size=(5, 40))
     q = np.array([-0.3, 0.0, 0.125, 0.4, 1.375, 1.5, 2.9, 3.2])
-    design = _loess_geometry(x, q, d, degree)
     none = einsum_loess(x, q, d, degree, ys)[1]
     assert none.any() == (d < 1.0)
-    fits = _loess_apply(design, ys)
+    fits = _loess(x, q, d, degree, ys)
     for i, y in enumerate(ys):
         # a row's fit does not depend on the rows batched with it
-        assert np.array_equal(_loess_apply(design, ys[[i, i]])[0], fits[i])
+        assert np.array_equal(_loess(x, q, d, degree, ys[[i, i]])[0], fits[i])
         # matmul may hand a lone row to another BLAS kernel than a batch,
         # so the single fit agrees to rounding; copied values agree exactly
         single = loess_batch(LoessModel(x, y, d=d, degree=degree), q)
@@ -233,10 +232,9 @@ _TIED_Q = np.array([-0.3, 0.125, 1.375, 3.2])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_loess_apply_matches_einsum_reference(x, q, d, degree):
     ys = np.random.default_rng(8).normal(-5.0, 1.0, size=(6, x.shape[0]))
-    design = _loess_geometry(x, q, d, degree)
-    got, (want, none) = _loess_apply(design, ys), einsum_loess(x, q, d, degree, ys)
+    got, (want, none) = _loess(x, q, d, degree, ys), einsum_loess(x, q, d, degree, ys)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    if design.mean_only:
+    if np.ptp(x) == 0.0:
         assert np.array_equal(got, want)
     else:
         # copied nearest values agree exactly
@@ -254,31 +252,38 @@ def _duplicated_set():
 @pytest.mark.parametrize("x, d", [(_TIED_X, 0.1), (_TIED_X, 1.0), (_duplicated_set(), 0.2)])
 def test_loess_design_orders_ties_as_a_stable_sort(x, d):
     # tied abscissae keep their input order: window membership at the edge
-    # and the nearest-value fallback read it
-    design = _loess_geometry(x, np.linspace(x.min(), x.max(), 11), d, 1)
-    assert np.array_equal(design.order, np.argsort(x, kind="stable"))
+    # and the nearest-value fallback read it, so the fits equal those of the
+    # reference's stable sort, and its copied nearest values exactly
+    q = np.linspace(x.min(), x.max(), 11)
+    ys = np.random.default_rng(7).normal(size=(3, x.shape[0]))
+    got, (want, none) = _loess(x, q, d, 1, ys), einsum_loess(x, q, d, 1, ys)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[:, none], want[:, none])
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_loess_design_holds_no_more_than_its_weight_columns(degree):
-    # the design keeps one (query, window, moment) weight tensor, its window
-    # starts and one coefficient row per query; moment sums, determinants
-    # or masks kept beside them would each add a per-query vector
-    n, m = 2000, 101
+def test_loess_fit_peak_holds_its_weights_and_window_gather(degree):
+    # at its peak a fit holds the (query, window, moment) weight tensor, the
+    # gathered windows of every response row, the sorts and a few per-query
+    # vectors; the centred abscissae and distances kept alive through the
+    # gather would add two (query, window) arrays
+    n, m, r = 2000, 101, 6
     x = np.random.default_rng(4).lognormal(size=n)
     q = np.linspace(x.min(), x.max(), m)
-    _loess_geometry(x, q, 0.2, degree)  # warm up lazy allocations
+    ys = np.random.default_rng(8).normal(size=(r, n))
+    _loess(x, q, 0.2, degree, ys)  # warm up lazy allocations
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        design = _loess_geometry(x, q, 0.2, degree)
-        held = tracemalloc.get_traced_memory()[0] - before
+        _loess(x, q, 0.2, degree, ys)
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert design.win == 400
-    columns = (degree + 1) * m * design.win * 8  # w, wx (and wx2) as float64
-    side = 8 * n + 8 * 8 * m  # the sort order and up to 8 per-query vectors
-    assert held <= columns + side
+    win = 400  # ceil(0.2 * n)
+    weights = (degree + 1) * m * win * 8
+    gather = m * win * r * 8
+    sorts = 3 * n * 8 + n * r * 8  # order, sorted x, window midpoints, sorted responses
+    assert peak <= weights + gather + sorts + 64 * m * 8
 
 
 def test_loess_duplicate_cluster_falls_back_to_mean():

@@ -379,6 +379,8 @@ def test_frontier_is_deterministic(small_inputs):
 
 def test_frontier_validation(small_inputs):
     with pytest.raises(ParameterError):
+        frontier(small_inputs, {})
+    with pytest.raises(ParameterError):
         frontier(small_inputs, {"static": []})
     with pytest.raises(ParameterError):
         frontier(small_inputs, {"bogus": [0.5]})

@@ -11,7 +11,7 @@ temporary directory with ``PYTHONPATH=SRC`` and seed 42.  The script prints
 one row per output: its name, the first 16 hex digits of its sha256 for each
 tree, and ``same`` or ``DIFFERS`` across the trees.  It exits 1 if a command
 fails or any output differs.  The full default report runs twice, so one
-tree takes about 15 s on two x86-64 cores.  Standard library only.
+tree takes about 20 s on two x86-64 cores.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,9 +26,14 @@ SEED = 42
 SMALL = {"n_paths": 2000, "horizon": 15, "annuity.T": 15}
 SHARED = {"annuity.T": 15, "strategy.kind": "combination", "dp.mode": "shared",
           "strategy.r": 0.01}
+# the DP solver's LOESS at degree 2 and with one window of every path
+LOESS = dict(SMALL, **{"strategy.kind": "combination", "strategy.r": 0.01})
+LOESS_FILES = ("report.csv+policy.csv+dp_trace.csv",)
 
-# (row label, subcommand, config keys, threads, files hashed); a config value
-# "{csv}" stands for the scenarios.csv that the "small simulate" command wrote
+# (row label, subcommands, config keys, threads, files hashed); the
+# subcommands run in turn into one directory, and names joined by "+" are
+# hashed as one concatenation; a config value "{csv}" stands for the
+# scenarios.csv that the "small simulate" command wrote
 COMMANDS = (
     ("report, threads 1", "report", {}, 1, ("report.csv",)),
     ("report, threads 2", "report", {}, 2, ("report.csv",)),
@@ -40,6 +45,10 @@ COMMANDS = (
      dict(SHARED, **{"scenario.file": "{csv}"}), 2, ("report.csv",)),
     ("solve-dp", "solve-dp", {}, 2, ("policy.csv", "dp_trace.csv")),
     ("simulate", "simulate", {}, 2, ("scenarios.csv", "moments.csv")),
+    ("evaluate + solve-dp, LOESS degree 2, 2000 x 15", "evaluate solve-dp",
+     dict(LOESS, **{"dp.loess_degree": 2}), 2, LOESS_FILES),
+    ("evaluate + solve-dp, LOESS d 1.0, 2000 x 15", "evaluate solve-dp",
+     dict(LOESS, **{"dp.loess_d": 1.0}), 2, LOESS_FILES),
 )
 
 
@@ -57,22 +66,31 @@ def _pensionsim(src: str, args: list) -> bytes:
     return done.stdout
 
 
+def write_config(path: str, keys: dict, csv: str) -> str:
+    """Write one command's config keys to ``path``, "{csv}" filled in."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in keys.items():
+            fh.write(f"{key} = {str(value).format(csv=csv)}\n")
+    return path
+
+
 def tree_shas(src: str) -> dict:
     """Output label -> sha256 prefix for every command run against ``src``."""
     shas = {}
     with tempfile.TemporaryDirectory(prefix="output-shas-") as work:
         csv = os.path.join(work, "small simulate", "scenarios.csv")
-        for label, sub, keys, threads, files in COMMANDS:
+        for label, subs, keys, threads, files in COMMANDS:
             out = os.path.join(work, label)
-            config = out + ".cfg"
-            with open(config, "w", encoding="utf-8") as fh:
-                for key, value in keys.items():
-                    fh.write(f"{key} = {str(value).format(csv=csv)}\n")
-            _pensionsim(src, [sub, "--config", config, "--out", out, "--seed", str(SEED),
-                              "--threads", str(threads)])
+            config = write_config(out + ".cfg", keys, csv)
+            for sub in subs.split():
+                _pensionsim(src, [sub, "--config", config, "--out", out, "--seed", str(SEED),
+                                  "--threads", str(threads)])
             for name in files:
-                with open(os.path.join(out, name), "rb") as fh:
-                    shas[f"{name} ({label})"] = _sha(fh.read())
+                data = b""
+                for part in name.split("+"):
+                    with open(os.path.join(out, part), "rb") as fh:
+                        data += fh.read()
+                shas[f"{name} ({label})"] = _sha(data)
         shas["report --print-defaults"] = _sha(_pensionsim(src, ["report", "--print-defaults"]))
     return shas
 
