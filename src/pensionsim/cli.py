@@ -2,8 +2,8 @@
 
 Subcommands: ``simulate`` (scenario CSV + moment report), ``evaluate`` (the
 one-row ``report`` of the ``strategy.*`` keys), ``solve-dp`` (policy export +
-utility trace), ``frontier`` (family/parameter sweep; the frontier itself
-checks the family names) and ``report`` (multi-strategy comparison).
+utility trace), ``frontier`` (family/parameter sweep, its family names checked
+before any scenario is built) and ``report`` (multi-strategy comparison).
 Configuration is a flat ``key = value`` text file with ``#`` comments; every
 key has a default (see ``--print-defaults``).  The ``model.*`` and ``dp.*``
 keys (``dp.mode`` aside) are the fields of
@@ -231,7 +231,7 @@ def _validate(cfg: RunConfig) -> None:
     key = None
     try:
         _dp_config(cfg)
-        _model_params(cfg).validate()
+        _model_params(cfg)
         _target_params(cfg, 0.0)  # the parameters every required return shares
         # every required return a command can use, before any scenario is built
         for key in (

@@ -28,8 +28,8 @@ every fit), the one way a solved policy is applied: a ratio on
 a break takes the region above it, and elsewhere the argmax over the
 interpolated curves.  Its exact lookup puts breaks into uniform buckets
 through a monotone float map, so breaks in other buckets than z's lie on
-the known side of z and a ratio needs a table read plus one compare per
-break in its bucket.  The counterfactual rollout gathers growth factors by
+the known side of z and a ratio needs its bucket's start plus one compare
+per break in its bucket.  The counterfactual rollout gathers growth factors by
 flat ``region * n + path`` indices.
 
 The per-contribution tranche solves are independent, and their kernels hold
@@ -192,9 +192,9 @@ class _StepPolicy:
     v, so a break in a lower bucket than z is <= z and a break in a higher
     bucket is > z.  Only the breaks sharing z's bucket are compared, which
     makes the count exact: it equals a binary search for every z, breaks
-    themselves included.  ``_start[j]`` counts the breaks in buckets below j
-    and ``_table[q, j]`` holds the q-th break of bucket j (+inf where the
-    bucket has fewer).
+    themselves included.  ``_start[j]`` counts the breaks in buckets below j;
+    the count walks on through ``_next``, the breaks and a final +inf, and
+    stops at the first above z within ``_width``, the most one bucket holds.
 
     ``offsets`` are the regions as row offsets into a flattened
     (allocation, path) slab of n paths, so :meth:`flat_index` turns a
@@ -216,9 +216,8 @@ class _StepPolicy:
         self._hi = last - self._lo
         home = self._bucket(breaks)
         self._start = np.searchsorted(home, np.arange(nbuckets + 2), side="left")
-        width = int(np.bincount(home).max()) if nb else 0
-        self._table = np.full((width, nbuckets + 2), np.inf)
-        self._table[np.arange(nb) - self._start[home], home] = breaks
+        self._width = int(np.bincount(home).max()) if nb else 0
+        self._next = np.append(breaks, np.inf)
 
     def _bucket(self, z: np.ndarray) -> np.ndarray:
         v = z - self._lo
@@ -228,10 +227,9 @@ class _StepPolicy:
 
     def count(self, z: np.ndarray) -> np.ndarray:
         """Number of breaks <= z, elementwise."""
-        j = self._bucket(z)
-        c = self._start.take(j)
-        for row in self._table:
-            c += z >= row.take(j)
+        c = self._start.take(self._bucket(z))
+        for _ in range(self._width):
+            c += z >= self._next.take(c)
         return c
 
     def choose(self, z: np.ndarray) -> np.ndarray:

@@ -304,9 +304,3 @@ class InflationEstimator:
             rates[:, t] = levels ** (1.0 / order) - 1.0 if order else levels - 1.0
         rates[:, T] = rates[:, T - 1]
         return cls(rates=rates)
-
-    def annual_rate(self, t: int) -> np.ndarray:
-        T = self.rates.shape[1] - 1
-        if not 0 <= t <= T:
-            raise DomainError(f"t={t} outside 0..{T}")
-        return self.rates[:, t]

@@ -58,8 +58,9 @@ def _factor_at(scenarios, t: int, spec: AnnuitySpec, infl_rate: np.ndarray) -> n
     rates = np.ascontiguousarray(scenarios.rates(t, h[:, 0]).T)
     # (maturity, path) terms, added from 0.0 shortest maturity first whatever
     # the layout of the rates; the tau = t term (horizon 0), an undiscounted
-    # unit payment, comes last
-    terms = (1.0 + rates) ** -h * (1.0 + infl_rate) ** h
+    # unit payment, comes last; an overflow leaves an M the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (1.0 + rates) ** -h * (1.0 + infl_rate) ** h
     return sum(terms, np.zeros(scenarios.n_paths)) + (horizons.size - h.size)
 
 
@@ -84,10 +85,10 @@ def market_value_series(scenarios, spec: AnnuitySpec, infl) -> MarketValueSeries
     n = scenarios.n_paths
     M = np.empty((n, spec.T + 1))
     for t in range(spec.T + 1):
-        M[:, t] = _factor_at(scenarios, t, spec, infl.annual_rate(t))
+        M[:, t] = _factor_at(scenarios, t, spec, infl.rates[:, t])
     # a NaN factor fails the comparison too
-    if not np.all(M > 0):
-        raise DomainError("market value factor must stay positive")
+    if not np.all((M > 0) & (M < np.inf)):
+        raise DomainError("market value factor must stay positive and finite")
     m = np.empty_like(M)
     m[:, 0] = np.nan
     m[:, 1:] = M[:, 1:] / M[:, :-1] - 1.0

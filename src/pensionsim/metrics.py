@@ -152,7 +152,7 @@ class ReplacementEstimators:
         inputs, T = self.inputs, self.inputs.T
         if not 0 <= t <= T:
             raise ParameterError(f"t={t} outside 0..{T}")
-        I_t = inputs.inflation.annual_rate(t)[:, None]
+        I_t = inputs.inflation.rates[:, t, None]
         pi = inputs.scenarios.pi[:, : T + 1].copy()
         w = inputs.scenarios.w[:, : T + 1].copy()
         pi[:, t + 1 :] = I_t

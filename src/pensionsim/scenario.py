@@ -38,7 +38,7 @@ __all__ = [
     "summarize",
 ]
 
-# Growth factors (1+x, 1+pi, 1+r^m) must stay positive for compounding;
+# Growth factors (1+x, 1+pi, 1+w, 1+r^m) must stay positive for compounding;
 # Gaussian tails are floored just above -100% (a >5-sigma event at defaults).
 _GROWTH_FLOOR = -1.0 + 1e-9
 
@@ -51,7 +51,8 @@ class ModelParams:
     are the AR(1) coefficients; ``corr_*`` fill the symmetric correlation
     matrix of the stationary distribution.  ``wage_spread`` is added to
     inflation to obtain wage inflation; the curve loading is
-    ``ln(m / slope_reference)`` at pillar maturity m.
+    ``ln(m / slope_reference)`` at pillar maturity m.  Construction raises
+    :class:`ParameterError` on any inconsistency.
     """
 
     mean_x: float = 0.061
@@ -95,8 +96,7 @@ class ModelParams:
         c[2, 3] = c[3, 2] = self.corr_level_slope
         return c
 
-    def validate(self) -> None:
-        """Raise :class:`ParameterError` on any inconsistency."""
+    def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.means())):
             raise ParameterError("model means must be finite")
         if np.any(self.stds() < 0) or not np.all(np.isfinite(self.stds())):
@@ -185,15 +185,16 @@ class ScenarioSet:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise ShapeError(f"{name} contains non-finite values")
+        rates = self.panel
         if factored:
             # a floored rate is monotone in the loading, so the pillars of the
             # least and the greatest loading bound every rate of the curve
             with np.errstate(over="ignore"):
-                edges = self._curve(np.s_[:], [self.loadings.argmin(), self.loadings.argmax()])
-            if not np.all(np.isfinite(edges)):
+                rates = self._curve(np.s_[:], [self.loadings.argmin(), self.loadings.argmax()])
+            if not np.all(np.isfinite(rates)):
                 raise ShapeError("curves contains non-finite values")
-        if np.any(self.x <= -1) or np.any(self.pi <= -1):
-            raise ShapeError("growth factors 1+x and 1+pi must stay positive")
+        if any(np.any(a <= -1) for a in (self.x, self.pi, self.w, rates)):
+            raise ShapeError("growth factors 1+x, 1+pi, 1+w and 1+r must stay positive")
 
     @property
     def n_pillars(self) -> int:
@@ -240,7 +241,7 @@ def simulate(
     Parameters
     ----------
     params : ModelParams
-        Validated model targets and dynamics.
+        Model targets and dynamics, checked when they were made.
     n_paths, horizon : int
         Panel dimensions; years run 0..horizon inclusive.
     seed : int
@@ -250,7 +251,6 @@ def simulate(
         raise ParameterError("n_paths must be >= 1")
     if horizon < 1:
         raise ParameterError("horizon must be >= 1")
-    params.validate()
 
     mu = params.means()
     phi = params.ars()

@@ -52,7 +52,6 @@ __all__ = [
     "TargetParams",
     "cumulative_step",
     "optimize_static_mix",
-    "static_step",
 ]
 
 
@@ -117,16 +116,6 @@ class GlidePath:
         if not self.ages[0] <= age <= self.ages[-1]:
             raise ScheduleError(f"age {age} outside glide path {self.ages[0]}..{self.ages[-1]}")
         return self.fraction[age - self.ages[0]]
-
-
-def static_step(mix_or_glide, age: int) -> float:
-    """Scheduled equity fraction for this age (constant mix or glide path)."""
-    if isinstance(mix_or_glide, GlidePath):
-        return mix_or_glide.fraction_at(age)
-    mix = float(mix_or_glide)
-    if not np.isfinite(mix) or not 0.0 <= mix <= 1.0:
-        raise ParameterError(f"static mix {mix} not in [0, 1]")
-    return mix
 
 
 def _target_growth_base(inputs: SimulationInputs, params: TargetParams) -> np.ndarray:
@@ -375,23 +364,24 @@ def _tranche_panels(inputs: SimulationInputs, values, record):
 
 @dataclass(frozen=True)
 class StaticMixStrategy:
-    """Annual rebalancing to a constant mix or a deterministic glide path."""
+    """Annual rebalancing to a constant mix in [0, 1] or a deterministic glide path."""
 
     mix: object
     label: str = ""
 
     def __post_init__(self) -> None:
+        glide = isinstance(self.mix, GlidePath)
+        # NaN fails both comparisons
+        if not glide and not 0.0 <= float(self.mix) <= 1.0:
+            raise ParameterError(f"static mix {self.mix} not in [0, 1]")
         if not self.label:
-            name = (
-                "glide"
-                if isinstance(self.mix, GlidePath)
-                else f"static_{100.0 * float(self.mix):g}"
-            )
+            name = "glide" if glide else f"static_{100.0 * float(self.mix):g}"
             object.__setattr__(self, "label", name)
 
     def run(self, inputs: SimulationInputs) -> StrategyOutcome:
-        ages = inputs.schedule.ages
-        return _accumulate(self.label, inputs, lambda t, w, a: static_step(self.mix, ages[t]))
+        at = self.mix.fraction_at if isinstance(self.mix, GlidePath) else lambda _: float(self.mix)
+        fractions = [at(age) for age in inputs.schedule.ages]
+        return _accumulate(self.label, inputs, lambda t, w, a: fractions[t])
 
 
 @dataclass(frozen=True)

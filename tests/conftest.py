@@ -127,7 +127,7 @@ def reference_estimators(inputs, params, wealth_t, t, M_hat):
     ``M_hat`` is E[M_T | year t].
     """
     T = inputs.T
-    I_t = inputs.inflation.annual_rate(t)
+    I_t = inputs.inflation.rates[:, t]
     horizon = np.arange(T - t + 1)  # offsets 0..T-t for years t..T
     wage_proj = (1.0 + I_t + inputs.scenarios.wage_spread)[:, None] ** horizon
     career = np.asarray(inputs.schedule.career_rate)

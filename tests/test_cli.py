@@ -454,6 +454,35 @@ def test_runtime_domain_error_exits_2_and_cleans_outputs(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_scenarios_that_cannot_compound_exit_without_output(tmp_path, capsys):
+    # a rate of -100 % in an ingested set, and a wage spread that takes
+    # 1 + w below zero, exit 1; an annuity so long that M_t overflows
+    # exits 2; none writes a row of NaN or a file at all
+    small = "n_paths = 40\nhorizon = 6\nannuity.T = 6\nseed = 42\n"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, small), "--out",
+                     str(tmp_path / "sim")]) == 0
+    data = tmp_path / "sim" / "scenarios.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    row = lines[5].split(",")
+    row[lines[0].split(",").index("r5")] = "-1.0"
+    lines[5] = ",".join(row)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ingested = f"scenario.file = {data}\nannuity.T = 6\nseed = 42\n"
+    runs = [
+        ("report", ingested + "report.strategies = "
+         "static_0,static_100,static_opt,cumulative,individual\n", 1),
+        ("frontier", ingested + "frontier.families = static\n", 1),
+        ("frontier", small + "model.wage_spread = -1.5\n", 1),
+        ("report", small + "annuity.N = 10000\n", 2),
+    ]
+    for i, (sub, text, code) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        cfg = write_config(tmp_path, text, name=f"{i}.cfg")
+        assert cli.main([sub, "--config", cfg, "--out", str(out), "--threads", "1"]) == code
+        assert "must stay positive" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+
 def test_os_error_exits_1_without_traceback(tmp_path, capsys):
     # --out names a regular file: the output directory cannot be made
     afile = tmp_path / "afile"

@@ -391,8 +391,6 @@ def test_estimator_rates_keep_growth_positive(default_inputs):
 
 def test_expected_inflation_domain():
     s = simulate(flat_params(mean_pi=0.02), 2, 4, seed=1)
-    with pytest.raises(DomainError):
-        InflationEstimator.fit(s, 4).annual_rate(5)
     with pytest.raises(ParameterError):
         InflationEstimator.fit(s, 5)
     with pytest.raises(ParameterError):

@@ -61,6 +61,17 @@ def test_nan_market_factor_rejected():
         market_value_series(s, AnnuitySpec(T=4, N=2), est)
 
 
+def test_infinite_market_factor_rejected():
+    # a huge expected inflation overflows the indexed terms to +inf, which
+    # passes a positivity check alone; the typed error comes first, with no
+    # floating-point warning on the way
+    s = simulate(flat_params(), 3, 4, seed=1)
+    est = InflationEstimator.fit(s, 4)
+    est.rates[:] = 1e200
+    with pytest.raises(DomainError, match="positive and finite"):
+        market_value_series(s, AnnuitySpec(T=4, N=3), est)
+
+
 def test_factor_matches_direct_sum(default_inputs):
     # Independent recomputation: each payment j is indexed at the expected
     # inflation rate and discounted at the zero rate for its maturity.

@@ -390,8 +390,9 @@ def test_frontier_validation(small_inputs):
 
 def test_frontier_builds_every_row_before_any_fork(small_inputs, monkeypatch):
     monkeypatch.setattr(metrics, "_fan_out", lambda *args, **kwargs: pytest.fail("forked"))
-    with pytest.raises(ParameterError):
-        frontier(small_inputs, {"static": [0.5], "individual": [0.01, -2.0]}, threads=3)
+    for families in ({"static": [0.5], "individual": [0.01, -2.0]}, {"static": [1.5]}):
+        with pytest.raises(ParameterError):
+            frontier(small_inputs, families, threads=3)
 
 
 def test_frontier_rows_never_build_a_tranche_panel(small_inputs, monkeypatch):

@@ -63,9 +63,8 @@ def test_negative_volatility_rejected():
 
 
 def test_invalid_correlation_matrix_rejected():
-    p = ModelParams(corr_x_pi=0.99, corr_x_level=0.99, corr_pi_level=-0.99)
-    with pytest.raises(ParameterError):
-        simulate(p, 2, 2, seed=1)
+    with pytest.raises(ParameterError, match="correlation matrix"):
+        ModelParams(corr_x_pi=0.99, corr_x_level=0.99, corr_pi_level=-0.99)
 
 
 def test_moment_report_matches_calibration(default_set):
@@ -291,4 +290,19 @@ def test_ingest_rejects_nonpositive_growth(tmp_path):
     path = tmp_path / "neg.csv"
     path.write_text("\n".join([hdr, "0,0,-1.5,0.02" + tail, "0,1,0.05,0.02" + tail]) + "\n")
     with pytest.raises(ShapeError, match="positive"):
+        ingest(path)
+
+
+def test_wage_and_rate_growth_must_stay_positive(tmp_path):
+    # 1 + w and 1 + r compound like 1 + x and 1 + pi: a set where either
+    # reaches zero is rejected, not run into NaN or negative salaries
+    with pytest.raises(ShapeError, match="1\\+w and 1\\+r must stay positive"):
+        simulate(ModelParams(wage_spread=-1.5), 4, 3, seed=42)
+    hdr = "path,t,x,pi,w," + ",".join(f"r{k}" for k in range(1, 31))
+    rates = ["0.03"] * 30
+    rates[4] = "-1.0"
+    path = tmp_path / "rate.csv"
+    path.write_text("\n".join([hdr, "0,0,0.05,0.02,0.02," + ",".join(rates),
+                               "0,1,0.05,0.02,0.02," + ",".join(["0.03"] * 30)]) + "\n")
+    with pytest.raises(ShapeError, match="must stay positive"):
         ingest(path)

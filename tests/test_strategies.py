@@ -36,10 +36,9 @@ from pensionsim import (
     post_retirement_factor,
     simulate,
     solve_policy,
-    static_step,
 )
 from pensionsim import strategies
-from pensionsim.errors import DomainError, EngineError, ParameterError, ScheduleError
+from pensionsim.errors import DomainError, ParameterError, ScheduleError
 from pensionsim.market import AnnuitySpec
 from pensionsim.strategies import _compounded, _run_tranches
 
@@ -93,12 +92,15 @@ def test_glide_path_validation():
             GlidePath.linear_to(end)
 
 
-def test_static_step_dispatch():
-    assert static_step(0.37, 51) == 0.37
-    g = GlidePath.bogle()
-    assert static_step(g, 51) == g.fraction_at(51)
-    with pytest.raises(EngineError):
-        static_step(1.2, 30)
+def test_static_mix_checked_when_made():
+    # a constant mix outside [0, 1], NaN included, fails at construction,
+    # before any run and whatever its label
+    for mix in (1.2, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="not in \\[0, 1\\]"):
+            StaticMixStrategy(mix=mix)
+        with pytest.raises(ParameterError):
+            StaticMixStrategy(mix=mix, label="named")
+    assert StaticMixStrategy(mix=1.0).mix == 1.0
 
 
 # ---------------------------------------------------------------------------

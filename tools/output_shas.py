@@ -40,6 +40,9 @@ COMMANDS = (
     ("frontier, 8000 paths", "frontier", {"n_paths": 8000}, 2, ("frontier.csv",)),
     ("report, 2000 x 15", "report", SMALL, 2, ("report.csv",)),
     ("evaluate, 2000 x 15", "evaluate", SMALL, 2, ("report.csv",)),
+    ("report, static rules, 2000 x 15", "report",
+     dict(SMALL, **{"report.strategies": "bogle,glide_30,glide_100,static_46.02,static_opt"}),
+     2, ("report.csv",)),
     ("small simulate", "simulate", SMALL, 2, ()),
     ("evaluate, shared combination r 0.01, ingested 2000 x 15", "evaluate",
      dict(SHARED, **{"scenario.file": "{csv}"}), 2, ("report.csv",)),
